@@ -1,29 +1,39 @@
 """Entanglement curves, boundary-curve sweeps, and averages over the input family.
 
-Every sweep is deterministic: grids are evaluated sequentially and rows are
-emitted sorted ascending by their input coordinates.  Degenerate shrink
-pairs are computed like any other point but tagged, so downstream plotting
-can drop or mark them; excluded region points carry None instead of a value.
+The clone of alpha|01> - beta|10> under an isotropic shrink s is an X-state
+with concurrence C = max(0, 2 s alpha beta - (1-s)/2), where s = 1 for
+wzcm, (M+4)/(5M) for scm and s1 or s2 for acm.  :func:`family_eof` applies
+that closed form and Wootters' C -> EoF law elementwise, so each figure
+sweep is one array expression over its whole grid; the alpha integrands
+take the same closed form one float at a time in ``math``.
+
+Every sweep is deterministic, and rows are emitted sorted ascending by
+their input coordinates.  Degenerate shrink pairs are computed like any
+other point but tagged, so downstream plotting can drop or mark them;
+excluded region points carry None instead of a value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .cloners import (
+    CONSTRAINT_SLACK,
     ConstraintViolatedError,
     ShrinkParams,
     acm_boundary_s2,
-    acm_clone,
     acm_constraint_satisfied,
+    acm_degenerate,
+    acm_region_value,
     scm_clone,
-    wzcm_family_clone,
+    scm_shrink_factor,
 )
-from .entanglement import concurrence
-from .states import density_of, psi_minus_family
+from .entanglement import concurrence, eof_from_concurrence
+from .states import psi_minus_family
 
 #: default absolute tolerance of the adaptive quadrature.
 QUAD_DEFAULT_TOL = 1e-7
@@ -101,6 +111,8 @@ def integrate_adaptive_simpson(
     taken so a symmetric integrand cannot fake convergence on the top
     interval.  Raises QuadratureConvergenceError past ``max_depth`` levels.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {tol!r}")
     if tol < QUAD_MIN_TOL:
         raise ValueError(f"tolerance {tol!r} below the {QUAD_MIN_TOL:g} floor")
     evals = 0
@@ -137,20 +149,46 @@ def integrate_adaptive_simpson(
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
-def _eof_wzcm(alpha: float) -> float:
-    return concurrence(wzcm_family_clone(alpha)).eof
+def family_eof(alpha, s):
+    """Entanglement of formation of the shrink-s clone of alpha|01> - beta|10>.
+
+    Elementwise over broadcastable arrays of alpha and s, both in [0, 1]:
+    C = max(0, 2 s alpha beta - (1-s)/2), then E = h((1 + sqrt(1 - C^2))/2).
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if not (np.all((alpha >= 0.0) & (alpha <= 1.0)) and np.all((s >= 0.0) & (s <= 1.0))):
+        raise ValueError("alpha and s must lie in [0, 1]")
+    beta = np.sqrt(1.0 - alpha * alpha)
+    c = np.clip(2.0 * s * alpha * beta - (1.0 - s) / 2.0, 0.0, 1.0)
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    y = 1.0 - x
+    # same operation order as binary_entropy, with 0 log 0 = 0
+    return 0.0 - x * np.log2(x) - y * np.log2(np.where(y > 0.0, y, 1.0))
 
 
-def _eof_scm(alpha: float, count: int = 2) -> float:
-    return concurrence(scm_clone(psi_minus_family(alpha), count)).eof
+def _family_eof_at(alpha: float, s: float) -> float:
+    """family_eof at one point, through math: the quadrature integrand."""
+    c = 2.0 * s * alpha * math.sqrt(1.0 - alpha * alpha) - (1.0 - s) / 2.0
+    return eof_from_concurrence(min(max(c, 0.0), 1.0))
 
 
-def _eof_acm(alpha: float, s: float) -> float:
-    return concurrence(acm_clone(psi_minus_family(alpha), s)).eof
+def _require_region(params: ShrinkParams) -> None:
+    if not acm_constraint_satisfied(params):
+        raise ConstraintViolatedError(
+            f"(s1, s2) = ({params.s1!r}, {params.s2!r}) violates the region "
+            f"constraint by {params.constraint_value()!r}"
+        )
 
 
-def _eof_input(alpha: float) -> float:
-    return concurrence(density_of(psi_minus_family(alpha))).eof
+def _unit_grid(values: Sequence[float], name: str) -> np.ndarray:
+    """Sorted unique grid values, checked to be non-empty and inside [0, 1]."""
+    grid = np.unique(np.asarray(values, dtype=float))
+    if grid.size == 0:
+        raise ValueError(f"empty {name} grid")
+    if grid[0] < 0.0 or grid[-1] > 1.0:
+        raise ValueError(f"{name} grid must stay inside [0, 1]")
+    return grid
 
 
 def avg_entanglement_acm(alpha: float, params: ShrinkParams) -> float:
@@ -159,12 +197,8 @@ def avg_entanglement_acm(alpha: float, params: ShrinkParams) -> float:
     Raises ConstraintViolatedError outside the allowed (s1, s2) region;
     the degenerate endpoints are allowed and simply evaluated.
     """
-    if not acm_constraint_satisfied(params):
-        raise ConstraintViolatedError(
-            f"(s1, s2) = ({params.s1!r}, {params.s2!r}) violates the region "
-            f"constraint by {params.constraint_value()!r}"
-        )
-    return 0.5 * (_eof_acm(alpha, params.s1) + _eof_acm(alpha, params.s2))
+    _require_region(params)
+    return 0.5 * (_family_eof_at(alpha, params.s1) + _family_eof_at(alpha, params.s2))
 
 
 def entanglement_curve(
@@ -179,33 +213,32 @@ def entanglement_curve(
     """
     if machine not in MACHINES:
         raise ValueError(f"machine must be one of {MACHINES}, got {machine!r}")
-    alphas = np.unique(np.asarray(grid, dtype=float))
-    if alphas.size == 0:
-        raise ValueError("empty alpha grid")
-    if alphas[0] < 0.0 or alphas[-1] > 1.0:
-        raise ValueError("alpha grid must stay inside [0, 1]")
+    alphas = _unit_grid(grid, "alpha")
     if machine == "acm":
         if params is None:
             raise ValueError("the asymmetric machine needs shrink parameters")
-        values = [avg_entanglement_acm(float(a), params) for a in alphas]
-    elif machine == "wzcm":
-        values = [_eof_wzcm(float(a)) for a in alphas]
+        _require_region(params)
+        values = 0.5 * (family_eof(alphas, params.s1) + family_eof(alphas, params.s2))
     else:
-        values = [_eof_scm(float(a)) for a in alphas]
-    rows = tuple(((float(a),), (v,)) for a, v in zip(alphas, values))
+        values = family_eof(alphas, 1.0 if machine == "wzcm" else scm_shrink_factor(2))
+    rows = tuple(((a,), (v,)) for a, v in zip(alphas.tolist(), values.tolist()))
     return SweepSeries(axis_names=("alpha", "eof"), rows=rows, machine_tag=machine)
 
 
 def mean_entanglement(machine: str, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     """Entanglement of formation of one clone averaged over alpha in [0, 1]."""
     if machine == "wzcm":
-        f = _eof_wzcm
+        s = 1.0
     elif machine == "scm":
-        f = _eof_scm
+        s = scm_shrink_factor(2)
     else:
         raise ValueError(f"machine must be 'wzcm' or 'scm', got {machine!r}")
     return integrate_adaptive_simpson(
-        f, 0.0, 1.0, tol, label=f"mean clone entanglement ({machine})"
+        lambda a: _family_eof_at(a, s),
+        0.0,
+        1.0,
+        tol,
+        label=f"mean clone entanglement ({machine})",
     )
 
 
@@ -213,10 +246,7 @@ def mean_entanglement_acm(
     params: ShrinkParams, tol: float = QUAD_DEFAULT_TOL
 ) -> QuadratureResult:
     """Two-copy average entanglement of the asymmetric cloner, averaged over alpha."""
-    if not acm_constraint_satisfied(params):
-        raise ConstraintViolatedError(
-            f"(s1, s2) = ({params.s1!r}, {params.s2!r}) violates the region constraint"
-        )
+    _require_region(params)
     return integrate_adaptive_simpson(
         lambda a: avg_entanglement_acm(a, params),
         0.0,
@@ -239,24 +269,25 @@ def acm_curve_sweep(
     ``alpha=None`` they hold the mean over alpha in [0, 1] computed to
     quadrature tolerance ``tol``.  Degenerate endpoints are tagged.
     """
-    s1s = np.unique(np.asarray(s1_grid, dtype=float))
-    if s1s.size == 0:
-        raise ValueError("empty s1 grid")
-    if s1s[0] < 0.0 or s1s[-1] > 1.0:
-        raise ValueError("s1 grid must stay inside [0, 1]")
-    rows = []
-    for s1 in s1s.tolist():
-        s2 = acm_boundary_s2(s1, branch)
-        params = ShrinkParams(s1, min(max(s2, 0.0), 1.0))
-        if alpha is None:
-            value = mean_entanglement_acm(params, tol).value
-        else:
-            value = avg_entanglement_acm(alpha, params)
-        rows.append(((s1,), (params.s2, value, params.is_degenerate())))
+    s1s = _unit_grid(s1_grid, "s1")
+    s2s = np.clip(acm_boundary_s2(s1s, branch), 0.0, 1.0)
+    if alpha is None:
+        values = [
+            mean_entanglement_acm(ShrinkParams(s1, s2), tol).value
+            for s1, s2 in zip(s1s.tolist(), s2s.tolist())
+        ]
+    else:
+        values = (0.5 * (family_eof(alpha, s1s) + family_eof(alpha, s2s))).tolist()
+    rows = tuple(
+        ((s1,), (s2, value, flag))
+        for s1, s2, value, flag in zip(
+            s1s.tolist(), s2s.tolist(), values, acm_degenerate(s1s, s2s).tolist()
+        )
+    )
     name = "mean_eof" if alpha is None else "avg_eof"
     return SweepSeries(
         axis_names=("s1", "s2", name, "degenerate"),
-        rows=tuple(rows),
+        rows=rows,
         machine_tag="acm",
     )
 
@@ -283,18 +314,22 @@ def acm_region_grid(resolution: int, alpha: float) -> SweepSeries:
     evaluated but tagged.
     """
     grid = uniform_grid(resolution)
-    rows = []
-    for s1 in grid.tolist():
-        for s2 in grid.tolist():
-            params = ShrinkParams(s1, s2)
-            if acm_constraint_satisfied(params):
-                value = avg_entanglement_acm(alpha, params)
-            else:
-                value = None
-            rows.append(((s1, s2), (value, params.is_degenerate())))
+    s1, s2 = grid[:, None], grid[None, :]
+    eof = family_eof(alpha, grid)
+    values = 0.5 * (eof[:, None] + eof[None, :])
+    inside = acm_region_value(s1, s2) <= CONSTRAINT_SLACK
+    flags = acm_degenerate(s1, s2)
+    g = grid.tolist()
+    rows = tuple(
+        ((a, b), (value if keep else None, flag))
+        for a, row_values, row_inside, row_flags in zip(
+            g, values.tolist(), inside.tolist(), flags.tolist()
+        )
+        for b, value, keep, flag in zip(g, row_values, row_inside, row_flags)
+    )
     return SweepSeries(
         axis_names=("s1", "s2", "avg_eof", "degenerate"),
-        rows=tuple(rows),
+        rows=rows,
         machine_tag="acm",
     )
 
@@ -305,23 +340,21 @@ def acm_alpha_surface(
     branch: str = "upper",
 ) -> SweepSeries:
     """Two-copy average entanglement over (alpha, s1) with s2 on a boundary branch."""
-    alphas = np.unique(np.asarray(alpha_grid, dtype=float))
-    s1s = np.unique(np.asarray(s1_grid, dtype=float))
-    if alphas.size == 0 or s1s.size == 0:
-        raise ValueError("empty grid")
-    if alphas[0] < 0.0 or alphas[-1] > 1.0 or s1s[0] < 0.0 or s1s[-1] > 1.0:
-        raise ValueError("grids must stay inside [0, 1]")
-    boundary = [
-        (s1, ShrinkParams(s1, min(max(acm_boundary_s2(s1, branch), 0.0), 1.0)))
-        for s1 in s1s.tolist()
-    ]
-    rows = []
-    for a in alphas.tolist():
-        for s1, params in boundary:
-            value = avg_entanglement_acm(a, params)
-            rows.append(((a, s1), (params.s2, value, params.is_degenerate())))
+    alphas = _unit_grid(alpha_grid, "alpha")
+    s1s = _unit_grid(s1_grid, "s1")
+    s2s = np.clip(acm_boundary_s2(s1s, branch), 0.0, 1.0)
+    a = alphas[:, None]
+    values = 0.5 * (family_eof(a, s1s) + family_eof(a, s2s))
+    boundary = tuple(
+        zip(s1s.tolist(), s2s.tolist(), acm_degenerate(s1s, s2s).tolist())
+    )
+    rows = tuple(
+        ((alpha, s1), (s2, value, flag))
+        for alpha, row_values in zip(alphas.tolist(), values.tolist())
+        for (s1, s2, flag), value in zip(boundary, row_values)
+    )
     return SweepSeries(
         axis_names=("alpha", "s1", "s2", "avg_eof", "degenerate"),
-        rows=tuple(rows),
+        rows=rows,
         machine_tag="acm",
     )

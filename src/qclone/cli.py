@@ -12,6 +12,7 @@ diagnostic names the failing integral), 2 on flag validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -90,6 +91,8 @@ def _check_grid(n: int) -> None:
 
 
 def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise _UsageError(f"--quad-tol must be a finite number, got {tol!r}")
     if tol < analysis.QUAD_MIN_TOL:
         raise _UsageError(f"--quad-tol must be at least {analysis.QUAD_MIN_TOL:g}")
 
@@ -290,9 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: each parse returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = _COMMANDS[args.command](args)
     except _UsageError as exc:

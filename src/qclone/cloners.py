@@ -68,15 +68,25 @@ class ShrinkParams:
 
     def constraint_value(self) -> float:
         """4(1-s1-s2)^2 - (1-s1)(1-s2); non-positive inside the region."""
-        u = 1.0 - self.s1 - self.s2
-        return 4.0 * u * u - (1.0 - self.s1) * (1.0 - self.s2)
+        return acm_region_value(self.s1, self.s2)
 
     def is_degenerate(self) -> bool:
         """True at (1, 0) and (0, 1): one perfect copy, one maximally mixed."""
-        tol = DEGENERACY_TOL
-        return (abs(self.s1 - 1.0) <= tol and abs(self.s2) <= tol) or (
-            abs(self.s1) <= tol and abs(self.s2 - 1.0) <= tol
-        )
+        return acm_degenerate(self.s1, self.s2)
+
+
+def acm_region_value(s1, s2):
+    """4(1-s1-s2)^2 - (1-s1)(1-s2), elementwise over floats or arrays."""
+    u = 1.0 - s1 - s2
+    return 4.0 * u * u - (1.0 - s1) * (1.0 - s2)
+
+
+def acm_degenerate(s1, s2):
+    """Whether (s1, s2) sits at (1, 0) or (0, 1), elementwise over floats or arrays."""
+    tol = DEGENERACY_TOL
+    return ((abs(s1 - 1.0) <= tol) & (abs(s2) <= tol)) | (
+        (abs(s1) <= tol) & (abs(s2 - 1.0) <= tol)
+    )
 
 
 def wzcm_clone(bell_coeffs) -> np.ndarray:
@@ -149,26 +159,28 @@ def acm_constraint_satisfied(params: ShrinkParams) -> bool:
     return params.constraint_value() <= CONSTRAINT_SLACK
 
 
-def acm_boundary_s2(s1: float, branch: str = "upper") -> float:
+def acm_boundary_s2(s1, branch: str = "upper"):
     """s2 on the boundary curve of the allowed region at a given s1.
 
     The two solutions of 4(1-s1-s2)^2 = (1-s1)(1-s2) are
     s2 = (7(1-s1) +- sqrt(1 + 14 s1 - 15 s1^2)) / 8; ``branch`` picks the
     sign.  The upper branch runs from (0, 1) to (1, 0) through (3/5, 3/5).
+    A float s1 gives a float; an array gives the array of its s2 values.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    if not 0.0 <= s1 <= 1.0:
+    s = np.asarray(s1, dtype=float)
+    if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError(f"s1 must lie in [0, 1], got {s1!r}")
-    disc = 1.0 + 14.0 * s1 - 15.0 * s1 * s1
-    if disc < 0.0:
-        if disc < -DISCRIMINANT_TOL:
-            raise NegativeDiscriminantError(f"discriminant {disc!r} at s1={s1!r}")
-        disc = 0.0
-    root = math.sqrt(disc)
+    disc = 1.0 + 14.0 * s - 15.0 * s * s
+    if np.any(disc < -DISCRIMINANT_TOL):
+        raise NegativeDiscriminantError(f"discriminant {disc.min()!r} at s1={s1!r}")
+    root = np.sqrt(np.maximum(disc, 0.0))
     if branch == "upper":
-        return (7.0 * (1.0 - s1) + root) / 8.0
-    return (7.0 * (1.0 - s1) - root) / 8.0
+        s2 = (7.0 * (1.0 - s) + root) / 8.0
+    else:
+        s2 = (7.0 * (1.0 - s) - root) / 8.0
+    return float(s2) if s2.ndim == 0 else s2
 
 
 def wzcm_clone_closed(alpha: float) -> np.ndarray:

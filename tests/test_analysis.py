@@ -18,19 +18,37 @@ from qclone.analysis import (
     acm_region_grid,
     avg_entanglement_acm,
     entanglement_curve,
+    family_eof,
     integrate_adaptive_simpson,
     mean_entanglement,
     mean_entanglement_acm,
     scm_multiclone_entanglement,
     uniform_grid,
 )
-from qclone.cloners import ConstraintViolatedError, ShrinkParams, acm_boundary_s2
-from qclone.entanglement import eof_from_concurrence
+from qclone.cloners import (
+    ConstraintViolatedError,
+    ShrinkParams,
+    acm_boundary_s2,
+    acm_clone,
+    acm_clone_closed,
+    acm_constraint_satisfied,
+    scm_shrink_factor,
+    wzcm_family_clone,
+)
+from qclone.entanglement import concurrence, concurrence_xstate, eof_from_concurrence
+from qclone.states import psi_minus_family
+
+SINGLET = 1 / math.sqrt(2)
+#: 200 evenly spaced alphas plus the singlet.
+KERNEL_ALPHAS = np.union1d(np.linspace(0.0, 1.0, 200), [SINGLET])
+#: 21 evenly spaced shrinks plus the separability threshold 1/3 and s(M=3).
+KERNEL_SHRINKS = np.union1d(np.linspace(0.0, 1.0, 21), [1 / 3, scm_shrink_factor(3)])
 
 
 def midpoint_rule(f, n=100_000):
+    """Midpoint rule on [0, 1] with n cells; f takes the array of midpoints."""
     xs = (np.arange(n) + 0.5) / n
-    return sum(f(x) for x in xs) / n
+    return float(np.sum(f(xs))) / n
 
 
 def test_simpson_exact_on_cubics():
@@ -77,6 +95,12 @@ def test_simpson_depth_cap_raises_with_label():
 def test_simpson_rejects_unreachable_tolerance():
     with pytest.raises(ValueError):
         integrate_adaptive_simpson(math.sin, 0.0, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_simpson_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="finite"):
+        integrate_adaptive_simpson(math.sin, 0.0, 1.0, tol)
 
 
 def test_uniform_grid():
@@ -152,12 +176,10 @@ def test_mean_entanglement_reference_values():
 
 
 def test_mean_entanglement_matches_midpoint_rule():
-    from qclone.analysis import _eof_scm, _eof_wzcm
-
     wz = mean_entanglement("wzcm", 1e-7)
-    assert abs(wz.value - midpoint_rule(_eof_wzcm)) < 1e-5
+    assert abs(wz.value - midpoint_rule(lambda a: family_eof(a, 1.0))) < 1e-5
     sc = mean_entanglement("scm", 1e-7)
-    assert abs(sc.value - midpoint_rule(_eof_scm)) < 1e-5
+    assert abs(sc.value - midpoint_rule(lambda a: family_eof(a, scm_shrink_factor(2)))) < 1e-5
 
 
 def test_halving_the_tolerance_is_self_consistent():
@@ -171,11 +193,9 @@ def test_symmetric_machines_never_raise_entanglement():
     # shrinking cannot create entanglement on the input family
     for alpha in np.linspace(0.0, 1.0, 41):
         e_in = eof_from_concurrence(2 * alpha * math.sqrt(1 - alpha * alpha))
-        from qclone.analysis import _eof_acm, _eof_scm
-
-        assert _eof_scm(alpha) <= e_in + 1e-12
+        assert family_eof(alpha, scm_shrink_factor(2)) <= e_in + 1e-12
         for s in np.linspace(0.0, 1.0, 11):
-            assert _eof_acm(alpha, s) <= e_in + 1e-12
+            assert family_eof(alpha, s) <= e_in + 1e-12
 
 
 def test_mean_entanglement_acm_is_symmetric():
@@ -296,3 +316,75 @@ def test_acm_alpha_surface_layout():
 
 def test_default_tolerance_is_exposed():
     assert QUAD_DEFAULT_TOL == 1e-7
+
+
+def test_family_eof_matches_xstate_closed_form():
+    # independent route: the closed-form clone matrix and the X-state law
+    got = family_eof(KERNEL_ALPHAS[:, None], KERNEL_SHRINKS[None, :])
+    for i, alpha in enumerate(KERNEL_ALPHAS):
+        for j, s in enumerate(KERNEL_SHRINKS):
+            want = eof_from_concurrence(concurrence_xstate(acm_clone_closed(alpha, s)))
+            assert abs(got[i, j] - want) <= 1e-12, (alpha, s)
+
+
+def test_family_eof_matches_generic_pipeline():
+    # the generic eigensolver route on the clones the machines build; near
+    # the singlet the wzcm clone meets RANK_NOISE_FLOOR, which biases the
+    # generic route by up to 3.2e-7 in C, so that window is left out
+    got = family_eof(KERNEL_ALPHAS[:, None], KERNEL_SHRINKS[None, :])
+    for i, alpha in enumerate(KERNEL_ALPHAS):
+        state = psi_minus_family(alpha)
+        for j, s in enumerate(KERNEL_SHRINKS):
+            assert abs(got[i, j] - concurrence(acm_clone(state, s)).eof) <= 1e-10, (alpha, s)
+        if abs(alpha - SINGLET) >= 1e-3:
+            wz = concurrence(wzcm_family_clone(alpha)).eof
+            assert abs(got[i, -1] - wz) <= 1e-10, alpha
+
+
+def test_wzcm_curve_is_exact_next_to_the_singlet():
+    # the generic route missed this point by 1.8e-7 in C
+    alpha = SINGLET + 3e-4
+    (row,) = entanglement_curve("wzcm", [alpha]).iter_flat()
+    want = eof_from_concurrence(2 * alpha * math.sqrt(1 - alpha * alpha))
+    assert abs(row[1] - want) <= 1e-12
+
+
+def test_family_eof_broadcasts_and_validates():
+    assert family_eof(SINGLET, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert family_eof(0.6, [0.0, 1 / 3]).tolist() == [0.0, 0.0]
+    assert family_eof(KERNEL_ALPHAS[:, None], KERNEL_SHRINKS).shape == (201, 23)
+    for alpha, s in ((1.5, 0.5), (0.5, -0.1), (math.nan, 0.5)):
+        with pytest.raises(ValueError):
+            family_eof(alpha, s)
+
+
+def test_scalar_routes_match_the_kernel():
+    # avg_entanglement_acm and the integrands evaluate one float in math
+    for alpha in (0.0, 0.3, SINGLET, 0.9, 1.0):
+        for s1, s2 in ((1.0, 0.0), (0.8, 0.3), (0.6, 0.6)):
+            want = 0.5 * (family_eof(alpha, s1) + family_eof(alpha, s2))
+            got = avg_entanglement_acm(alpha, ShrinkParams(s1, s2))
+            assert abs(got - want) <= 1e-15
+
+
+def test_region_grid_sides_match_shrink_params():
+    # membership and flags are array expressions; they must agree with the
+    # per-pair ShrinkParams answers everywhere, the region edge included
+    for resolution in (41, 61):
+        for s1, s2, value, flag in acm_region_grid(resolution, 0.7).iter_flat():
+            params = ShrinkParams(s1, s2)
+            assert (value is not None) == acm_constraint_satisfied(params), (s1, s2)
+            assert flag is params.is_degenerate(), (s1, s2)
+
+
+def test_boundary_sweeps_match_per_point_answers():
+    grid = uniform_grid(41)
+    for branch in ("upper", "lower"):
+        rows = list(acm_curve_sweep(grid, branch, alpha=0.65).iter_flat())
+        surface = list(acm_alpha_surface([0.65], grid, branch).iter_flat())
+        for (s1, s2, value, flag), (_, _, s2b, value_b, flag_b) in zip(rows, surface):
+            params = ShrinkParams(s1, min(max(acm_boundary_s2(s1, branch), 0.0), 1.0))
+            assert s2 == s2b == params.s2
+            assert flag is flag_b is params.is_degenerate()
+            assert abs(value - avg_entanglement_acm(0.65, params)) <= 1e-15
+            assert value == value_b

@@ -75,6 +75,44 @@ def test_mean_rejects_unreachable_tolerance(capsys):
     assert rc == 2 and "quad-tol" in err
 
 
+@pytest.mark.parametrize("command", ["mean", "fig5"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_exits_two(capsys, command, tol):
+    argv = [command, f"--quad-tol={tol}"]
+    if command == "mean":
+        argv += ["--machine", "scm"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "quad-tol" in err and "finite" in err
+
+
+def test_back_to_back_calls_leave_no_state(capsys, tmp_path):
+    # the parser is built once per process; every call must start from
+    # the defaults, not from the flags of the call before it
+    rc, _, _ = run_cli(
+        capsys, ["entangle", "--machine", "acm", "--alpha", "0.6", "--s1", "0.8"]
+    )
+    assert rc == 0
+    rc, out, err = run_cli(capsys, ["entangle", "--machine", "wzcm", "--alpha", "0.6"])
+    assert rc == 0 and err == ""
+    assert "s1" not in parse_csv(out)[0]
+    path = tmp_path / "fig.csv"
+    rc, out, _ = run_cli(
+        capsys, ["fig3", "--grid-points", "5", "--branch", "lower", "--output", str(path)]
+    )
+    assert rc == 0 and out == ""
+    rc, out, _ = run_cli(capsys, ["fig3", "--grid-points", "7"])
+    assert rc == 0 and out != ""
+    config, _, rows = parse_csv(out)
+    assert config["branch"] == "upper" and config["grid_points"] == "7" and len(rows) == 7
+    rc, out, _ = run_cli(capsys, ["mean", "--machine", "acm", "--s1", "0.7", "--s2", "0.48"])
+    assert rc == 0
+    rc, out, err = run_cli(capsys, ["mean", "--machine", "wzcm"])
+    assert rc == 0 and err == ""
+    config, _, _ = parse_csv(out)
+    assert config["quad_tol"] == "1e-07" and "s1" not in config
+
+
 def test_quadrature_failure_exits_one(capsys, monkeypatch):
     def explode(machine, tol):
         raise QuadratureConvergenceError(

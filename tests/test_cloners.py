@@ -11,6 +11,8 @@ from qclone.cloners import (
     acm_clone,
     acm_clone_closed,
     acm_constraint_satisfied,
+    acm_degenerate,
+    acm_region_value,
     scm_clone,
     scm_clone_closed,
     scm_shrink_factor,
@@ -190,6 +192,24 @@ def test_branches_meet_where_discriminant_vanishes():
     up = acm_boundary_s2(1.0, "upper")
     lo = acm_boundary_s2(1.0, "lower")
     assert up == lo == 0.0
+
+
+def test_boundary_and_region_answer_arrays_elementwise():
+    s1 = np.linspace(0.0, 1.0, 101)
+    for branch in ("upper", "lower"):
+        got = acm_boundary_s2(s1, branch)
+        assert got.tolist() == [acm_boundary_s2(x, branch) for x in s1.tolist()]
+    assert isinstance(acm_boundary_s2(0.3), float)
+    s2 = s1[::-1]
+    values = acm_region_value(s1, s2)
+    flags = acm_degenerate(s1, s2)
+    for a, b, v, f in zip(s1.tolist(), s2.tolist(), values.tolist(), flags.tolist()):
+        assert v == ShrinkParams(a, b).constraint_value()
+        assert f is ShrinkParams(a, b).is_degenerate()
+    with pytest.raises(ValueError):
+        acm_boundary_s2(np.array([0.2, 1.3]), "upper")
+    with pytest.raises(ValueError):
+        acm_boundary_s2(float("nan"), "upper")
 
 
 def test_boundary_rejects_bad_inputs():
