@@ -4,8 +4,9 @@ The clone of alpha|01> - beta|10> under an isotropic shrink s is an X-state
 with concurrence C = max(0, 2 s alpha beta - (1-s)/2), where s = 1 for
 wzcm, (M+4)/(5M) for scm and s1 or s2 for acm.  :func:`family_eof` applies
 that closed form and Wootters' C -> EoF law elementwise, so each figure
-sweep is one array expression over its whole grid; the alpha integrands
-take the same closed form one float at a time in ``math``.
+sweep is one array expression over its whole grid.  :func:`family_mean`
+integrates the same closed form over alpha for a whole array of shrinks
+at once, by Gauss-Legendre on the pieces where C > 0.
 
 Every sweep is deterministic, and rows are emitted sorted ascending by
 their input coordinates.  Degenerate shrink pairs are computed like any
@@ -15,6 +16,7 @@ excluded region points carry None instead of a value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -26,21 +28,27 @@ from .cloners import (
     ConstraintViolatedError,
     ShrinkParams,
     acm_boundary_s2,
-    acm_constraint_satisfied,
     acm_degenerate,
     acm_region_value,
     scm_clone,
     scm_shrink_factor,
 )
-from .entanglement import concurrence, eof_from_concurrence
+from .entanglement import concurrence
 from .states import psi_minus_family
 
-#: default absolute tolerance of the adaptive quadrature.
+#: default absolute tolerance of the quadratures.
 QUAD_DEFAULT_TOL = 1e-7
 #: recursion depth cap of the adaptive quadrature.
 QUAD_MAX_DEPTH = 30
 #: tolerances tighter than this are rejected as unreachable in float64.
 QUAD_MIN_TOL = 1e-10
+#: Gauss-Legendre orders n of family_mean, tried in turn; each rung pairs
+#: the n- and 2n-point rules, whose difference is the error estimate.
+GL_LADDER = (16, 32, 64)
+#: added to every family_mean estimate: a bound on float64 rounding in the
+#: integral, as the binary entropy in E carries absolute errors up to
+#: ~eps log2(1/eps) where C is small.
+GL_ROUNDOFF = 1e-13
 #: default number of grid points for figure sweeps.
 GRID_POINTS_DEFAULT = 201
 
@@ -48,15 +56,19 @@ MACHINES = ("wzcm", "scm", "acm")
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when adaptive refinement hits the depth cap before converging."""
+    """Raised when a quadrature runs out of refinement before converging."""
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, a-posteriori error estimate and evaluation count of an integral."""
+    """Value, a-posteriori error estimate and evaluation count of an integral.
 
-    value: float
-    abs_error_estimate: float
+    :func:`family_mean` returns arrays of values and estimates, one entry
+    per shrink; ``evaluations`` counts integrand evaluations in total.
+    """
+
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
 
 
@@ -95,6 +107,13 @@ def uniform_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {tol!r}")
+    if tol < QUAD_MIN_TOL:
+        raise ValueError(f"tolerance {tol!r} below the {QUAD_MIN_TOL:g} floor")
+
+
 def integrate_adaptive_simpson(
     f: Callable[[float], float],
     a: float,
@@ -111,10 +130,7 @@ def integrate_adaptive_simpson(
     taken so a symmetric integrand cannot fake convergence on the top
     interval.  Raises QuadratureConvergenceError past ``max_depth`` levels.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be a finite number, got {tol!r}")
-    if tol < QUAD_MIN_TOL:
-        raise ValueError(f"tolerance {tol!r} below the {QUAD_MIN_TOL:g} floor")
+    _check_tol(tol)
     evals = 0
 
     def feval(x: float) -> float:
@@ -149,6 +165,14 @@ def integrate_adaptive_simpson(
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
+def _wootters_eof(c: np.ndarray) -> np.ndarray:
+    """Wootters' C -> EoF law elementwise on concurrences in [0, 1]."""
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    y = 1.0 - x
+    # same operation order as binary_entropy, with 0 log 0 = 0
+    return 0.0 - x * np.log2(x) - y * np.log2(np.where(y > 0.0, y, 1.0))
+
+
 def family_eof(alpha, s):
     """Entanglement of formation of the shrink-s clone of alpha|01> - beta|10>.
 
@@ -160,24 +184,80 @@ def family_eof(alpha, s):
     if not (np.all((alpha >= 0.0) & (alpha <= 1.0)) and np.all((s >= 0.0) & (s <= 1.0))):
         raise ValueError("alpha and s must lie in [0, 1]")
     beta = np.sqrt(1.0 - alpha * alpha)
-    c = np.clip(2.0 * s * alpha * beta - (1.0 - s) / 2.0, 0.0, 1.0)
-    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    y = 1.0 - x
-    # same operation order as binary_entropy, with 0 log 0 = 0
-    return 0.0 - x * np.log2(x) - y * np.log2(np.where(y > 0.0, y, 1.0))
+    return _wootters_eof(np.clip(2.0 * s * alpha * beta - (1.0 - s) / 2.0, 0.0, 1.0))
 
 
-def _family_eof_at(alpha: float, s: float) -> float:
-    """family_eof at one point, through math: the quadrature integrand."""
-    c = 2.0 * s * alpha * math.sqrt(1.0 - alpha * alpha) - (1.0 - s) / 2.0
-    return eof_from_concurrence(min(max(c, 0.0), 1.0))
+@functools.cache
+def _gl_rung(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared nodes and weights of the n- and 2n-point rules on u in [0, 1].
+
+    The 3n nodes of both rules sit in one array, so one evaluation of the
+    integrand serves both; column k of the (3n, 2) weights holds rule k's
+    weights (zero on the other rule's nodes) times the Jacobian 2u of
+    theta = end + h u^2.
+    """
+    u1, w1 = np.polynomial.legendre.leggauss(n)
+    u2, w2 = np.polynomial.legendre.leggauss(2 * n)
+    u = 0.5 * (np.concatenate((u1, u2)) + 1.0)
+    w = np.zeros((3 * n, 2))
+    w[:n, 0] = w1
+    w[n:, 1] = w2
+    return u * u, w * u[:, None]
 
 
-def _require_region(params: ShrinkParams) -> None:
-    if not acm_constraint_satisfied(params):
+def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
+    """Integral over alpha in [0, 1] of family_eof(alpha, s), for each shrink in s.
+
+    With alpha = sin(theta) the integrand is E(theta) cos(theta) on
+    [0, pi/2], and C = max(0, s sin(2 theta) - (1-s)/2) is nonzero only
+    between the kink theta1 = asin((1-s)/(2s))/2 and its mirror
+    pi/2 - theta1 (none for s <= 1/3).  C is symmetric about pi/4, so the
+    two halves fold into one integral of E (cos + sin) over [theta1, pi/4];
+    theta = theta1 + h u^2 smooths the C^2 log C start at the kink.  Each
+    rung of GL_LADDER applies the n- and 2n-point Gauss-Legendre rules to
+    one array evaluation over every shrink; the 2n value is returned with
+    |Q_2n - Q_n| + GL_ROUNDOFF as its estimate, and the next rung is tried
+    while any estimate exceeds tol.  Raises QuadratureConvergenceError past
+    the last rung.
+    """
+    _check_tol(tol)
+    s = np.asarray(s, dtype=float)
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError("shrink factors must lie in [0, 1]")
+    col = s.reshape(-1, 1)
+    # k >= 1, so theta1 = pi/4 and h = 0, for every s <= 1/3
+    k = np.minimum((1.0 - col) / np.maximum(2.0 * col, 2.0 / 3.0), 1.0)
+    theta1 = 0.5 * np.arcsin(k)
+    h = 0.25 * np.pi - theta1
+    evals = 0
+    for n in GL_LADDER:
+        u2, w = _gl_rung(n)
+        theta = theta1 + h * u2
+        c = np.clip(col * np.sin(2.0 * theta) - (1.0 - col) / 2.0, 0.0, 1.0)
+        # cos + sin = sqrt(2) sin(theta + pi/4)
+        q = (_wootters_eof(c) * np.sin(theta + 0.25 * np.pi)) @ w
+        q *= math.sqrt(2.0) * h
+        evals += u2.size * col.shape[0]
+        value = q[:, 1].reshape(s.shape)
+        err = (np.abs(q[:, 1] - q[:, 0]) + GL_ROUNDOFF).reshape(s.shape)
+        if np.all(err <= tol):
+            return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
+    worst = int(np.argmax(err))
+    raise QuadratureConvergenceError(
+        f"alpha mean at s = {float(s.flat[worst])!r}: estimate {float(err.flat[worst]):g} "
+        f"above tol {tol:g} at Gauss-Legendre order {2 * GL_LADDER[-1]}"
+    )
+
+
+def _require_region(s1, s2) -> None:
+    """Raise ConstraintViolatedError at the first (s1, s2) pair outside the region."""
+    excess = np.ravel(acm_region_value(s1, s2))
+    outside = np.flatnonzero(excess > CONSTRAINT_SLACK)
+    if outside.size:
+        k = outside[0]
         raise ConstraintViolatedError(
-            f"(s1, s2) = ({params.s1!r}, {params.s2!r}) violates the region "
-            f"constraint by {params.constraint_value()!r}"
+            f"(s1, s2) = ({float(np.ravel(s1)[k])!r}, {float(np.ravel(s2)[k])!r}) "
+            f"violates the region constraint by {float(excess[k])!r}"
         )
 
 
@@ -197,8 +277,8 @@ def avg_entanglement_acm(alpha: float, params: ShrinkParams) -> float:
     Raises ConstraintViolatedError outside the allowed (s1, s2) region;
     the degenerate endpoints are allowed and simply evaluated.
     """
-    _require_region(params)
-    return 0.5 * (_family_eof_at(alpha, params.s1) + _family_eof_at(alpha, params.s2))
+    _require_region(params.s1, params.s2)
+    return float(0.5 * (family_eof(alpha, params.s1) + family_eof(alpha, params.s2)))
 
 
 def entanglement_curve(
@@ -217,7 +297,7 @@ def entanglement_curve(
     if machine == "acm":
         if params is None:
             raise ValueError("the asymmetric machine needs shrink parameters")
-        _require_region(params)
+        _require_region(params.s1, params.s2)
         values = 0.5 * (family_eof(alphas, params.s1) + family_eof(alphas, params.s2))
     else:
         values = family_eof(alphas, 1.0 if machine == "wzcm" else scm_shrink_factor(2))
@@ -233,12 +313,11 @@ def mean_entanglement(machine: str, tol: float = QUAD_DEFAULT_TOL) -> Quadrature
         s = scm_shrink_factor(2)
     else:
         raise ValueError(f"machine must be 'wzcm' or 'scm', got {machine!r}")
-    return integrate_adaptive_simpson(
-        lambda a: _family_eof_at(a, s),
-        0.0,
-        1.0,
-        tol,
-        label=f"mean clone entanglement ({machine})",
+    res = family_mean(s, tol)
+    return QuadratureResult(
+        value=float(res.value),
+        abs_error_estimate=float(res.abs_error_estimate),
+        evaluations=res.evaluations,
     )
 
 
@@ -246,13 +325,13 @@ def mean_entanglement_acm(
     params: ShrinkParams, tol: float = QUAD_DEFAULT_TOL
 ) -> QuadratureResult:
     """Two-copy average entanglement of the asymmetric cloner, averaged over alpha."""
-    _require_region(params)
-    return integrate_adaptive_simpson(
-        lambda a: avg_entanglement_acm(a, params),
-        0.0,
-        1.0,
-        tol,
-        label=f"mean clone entanglement (acm, s1={params.s1:g}, s2={params.s2:g})",
+    _require_region(params.s1, params.s2)
+    res = family_mean((params.s1, params.s2), tol)
+    value, err = res.value, res.abs_error_estimate
+    return QuadratureResult(
+        value=float(0.5 * (value[0] + value[1])),
+        abs_error_estimate=float(0.5 * (err[0] + err[1])),
+        evaluations=res.evaluations,
     )
 
 
@@ -272,10 +351,9 @@ def acm_curve_sweep(
     s1s = _unit_grid(s1_grid, "s1")
     s2s = np.clip(acm_boundary_s2(s1s, branch), 0.0, 1.0)
     if alpha is None:
-        values = [
-            mean_entanglement_acm(ShrinkParams(s1, s2), tol).value
-            for s1, s2 in zip(s1s.tolist(), s2s.tolist())
-        ]
+        _require_region(s1s, s2s)
+        means = family_mean(np.stack((s1s, s2s)), tol).value
+        values = (0.5 * (means[0] + means[1])).tolist()
     else:
         values = (0.5 * (family_eof(alpha, s1s) + family_eof(alpha, s2s))).tolist()
     rows = tuple(

@@ -5,8 +5,9 @@ lines recording the exact configuration, one header row naming the columns,
 then data rows.  Fields are comma-separated, floats carry 9 significant
 digits, line endings are Unix.  Identical flags produce identical bytes.
 
-Exit codes: 0 on success, 1 when a quadrature fails to converge (the
-diagnostic names the failing integral), 2 on flag validation errors.
+Exit codes: 0 on success, 1 when a quadrature or an eigensolve fails to
+converge (the diagnostic names the failing computation), 2 on flag
+validation errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, cloners, entanglement, states
+from . import analysis, cloners, entanglement, qmath, states
 
 PROG = "qclone"
 
@@ -97,38 +98,30 @@ def _check_tol(tol: float) -> None:
         raise _UsageError(f"--quad-tol must be at least {analysis.QUAD_MIN_TOL:g}")
 
 
-def _clone_matrix(args) -> np.ndarray:
+def _clone_matrix(args) -> tuple[np.ndarray, list[tuple[str, object]]]:
+    """The clone matrix for clone/entangle, with the config lines naming it."""
     machine, param = _machine_inputs(args)
     _check_unit("--alpha", args.alpha)
     state = states.psi_minus_family(args.alpha)
+    config = [("machine", machine), ("alpha", float(args.alpha))]
     if machine == "wzcm":
-        return cloners.wzcm_clone(states.to_bell_basis(state))
+        return cloners.wzcm_clone(states.to_bell_basis(state)), config
     if machine == "scm":
-        return cloners.scm_clone(state, param)
-    return cloners.acm_clone(state, param)
+        return cloners.scm_clone(state, param), config + [("clones", param)]
+    return cloners.acm_clone(state, param), config + [("s1", float(param))]
 
 
 def _cmd_clone(args) -> str:
-    rho = _clone_matrix(args)
-    config = [("machine", args.machine), ("alpha", float(args.alpha))]
-    if args.machine == "scm":
-        config.append(("clones", 2 if args.clones is None else args.clones))
-    if args.machine == "acm":
-        config.append(("s1", float(args.s1)))
+    rho, config = _clone_matrix(args)
     rows = [(i, j, rho[i, j].real, rho[i, j].imag) for i in range(4) for j in range(4)]
     return _render("clone", config, ["row", "col", "re", "im"], rows)
 
 
 def _cmd_entangle(args) -> str:
-    rho = _clone_matrix(args)
+    rho, config = _clone_matrix(args)
     state = states.psi_minus_family(args.alpha)
     report = entanglement.concurrence(rho)
     fid = entanglement.fidelity(state, rho)
-    config = [("machine", args.machine), ("alpha", float(args.alpha))]
-    if args.machine == "scm":
-        config.append(("clones", 2 if args.clones is None else args.clones))
-    if args.machine == "acm":
-        config.append(("s1", float(args.s1)))
     header = [
         "alpha",
         "concurrence",
@@ -306,7 +299,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except analysis.QuadratureConvergenceError as exc:
+    except (analysis.QuadratureConvergenceError, qmath.EigenConvergenceError) as exc:
         print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
         return 1
     _write(text, args.output)

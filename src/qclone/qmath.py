@@ -53,6 +53,10 @@ class NotNormalizedError(ValueError):
     """Raised when a state vector's norm differs from 1 beyond tolerance."""
 
 
+class EigenConvergenceError(RuntimeError):
+    """Raised when Jacobi sweeps hit JACOBI_MAX_SWEEPS before converging."""
+
+
 class EigenResult(NamedTuple):
     """Eigendecomposition of a Hermitian 4x4 matrix.
 
@@ -84,16 +88,6 @@ def as_state_vector(vec, dim: int) -> np.ndarray:
     if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
         raise NotNormalizedError(f"state norm^2 = {norm_sq!r} differs from 1")
     return v
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix4(a).conj().T
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Product of two 4x4 complex matrices."""
-    return _as_matrix4(a) @ _as_matrix4(b)
 
 
 def _rotate(a: list, v: list, p: int, q: int) -> None:
@@ -136,9 +130,11 @@ def hermitian_eigen(a) -> EigenResult:
     The fixed 4x4 size needs no general-purpose solver; plane rotations are
     unconditionally stable on Hermitian input.  Sweeps run in the cyclic
     order (0,1),(0,2),(0,3),(1,2),(1,3),(2,3) until the off-diagonal
-    Frobenius norm drops below JACOBI_OFF_TOL or JACOBI_MAX_SWEEPS is hit.
+    Frobenius norm drops below JACOBI_OFF_TOL.
 
-    Raises NotHermitianError if max |a - a^dag| exceeds HERMITICITY_TOL.
+    Raises NotHermitianError if max |a - a^dag| exceeds HERMITICITY_TOL, and
+    EigenConvergenceError if the norm is still above JACOBI_OFF_TOL after
+    JACOBI_MAX_SWEEPS sweeps.
     """
     m = _as_matrix4(a)
     if float(np.abs(m - m.conj().T).max()) > HERMITICITY_TOL:
@@ -147,7 +143,8 @@ def hermitian_eigen(a) -> EigenResult:
 
     w = [[complex(m[i, j]) for j in range(4)] for i in range(4)]
     v = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(4)] for i in range(4)]
-    for _ in range(JACOBI_MAX_SWEEPS):
+    # pass JACOBI_MAX_SWEEPS + 1 measures the norm the last sweep left
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off_sq = 0.0
         for p in range(3):
             row = w[p]
@@ -156,6 +153,11 @@ def hermitian_eigen(a) -> EigenResult:
                 off_sq += z.real * z.real + z.imag * z.imag
         if math.sqrt(2.0 * off_sq) < JACOBI_OFF_TOL:
             break
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise EigenConvergenceError(
+                f"off-diagonal norm {math.sqrt(2.0 * off_sq):g} still above "
+                f"{JACOBI_OFF_TOL:g} after {JACOBI_MAX_SWEEPS} Jacobi sweeps"
+            )
         for p in range(3):
             for q in range(p + 1, 4):
                 _rotate(w, v, p, q)

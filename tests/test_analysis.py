@@ -1,14 +1,18 @@
 """Quadrature, figure sweeps and alpha-averaged entanglement.
 
-The adaptive integrator is checked against exact antiderivatives and a
-mechanical 100k-point midpoint rule evaluated on the same integrands.
+The adaptive integrator is checked against exact antiderivatives; the
+alpha means against a mechanical 100k-point midpoint rule evaluated on
+the same integrands and against mpmath.quad at 30 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import qclone.analysis
 from qclone.analysis import (
     QUAD_DEFAULT_TOL,
     QuadratureConvergenceError,
@@ -19,6 +23,7 @@ from qclone.analysis import (
     avg_entanglement_acm,
     entanglement_curve,
     family_eof,
+    family_mean,
     integrate_adaptive_simpson,
     mean_entanglement,
     mean_entanglement_acm,
@@ -49,6 +54,29 @@ def midpoint_rule(f, n=100_000):
     """Midpoint rule on [0, 1] with n cells; f takes the array of midpoints."""
     xs = (np.arange(n) + 0.5) / n
     return float(np.sum(f(xs))) / n
+
+
+def mp_family_mean(s: float):
+    """Integral over alpha in [0, 1] of the shrink-s clone's EoF, by mpmath.quad.
+
+    C = 2 s alpha beta - (1-s)/2 is positive only between the two kinks
+    alpha = sin(theta1), cos(theta1) with sin(2 theta1) = (1-s)/(2s), which
+    bound the integration interval.
+    """
+    with mpmath.workdps(30):
+        s = mpmath.mpf(s)
+        if 3 * s <= 1:
+            return mpmath.mpf(0)
+
+        def eof(a):
+            c = 2 * s * a * mpmath.sqrt(1 - a * a) - (1 - s) / 2
+            if c <= 0:
+                return mpmath.mpf(0)
+            y = c * c / (2 * (1 + mpmath.sqrt(1 - c * c)))
+            return -((1 - y) * mpmath.log1p(-y) + y * mpmath.log(y)) / mpmath.log(2)
+
+        theta1 = mpmath.asin((1 - s) / (2 * s)) / 2
+        return mpmath.quad(eof, [mpmath.sin(theta1), mpmath.cos(theta1)])
 
 
 def test_simpson_exact_on_cubics():
@@ -359,7 +387,6 @@ def test_family_eof_broadcasts_and_validates():
 
 
 def test_scalar_routes_match_the_kernel():
-    # avg_entanglement_acm and the integrands evaluate one float in math
     for alpha in (0.0, 0.3, SINGLET, 0.9, 1.0):
         for s1, s2 in ((1.0, 0.0), (0.8, 0.3), (0.6, 0.6)):
             want = 0.5 * (family_eof(alpha, s1) + family_eof(alpha, s2))
@@ -388,3 +415,66 @@ def test_boundary_sweeps_match_per_point_answers():
             assert flag is flag_b is params.is_degenerate()
             assert abs(value - avg_entanglement_acm(0.65, params)) <= 1e-15
             assert value == value_b
+
+
+def test_former_simpson_faults_are_within_their_estimates():
+    # adaptive Simpson accepted values 59x (acm at 0.355) and 2.7-2.8x
+    # (fig5 at s1 = 0.5) its tolerance away from these integrals
+    tol = 1e-7
+    res = mean_entanglement_acm(ShrinkParams(0.355, 0.355), tol)
+    assert abs(res.value - mp_family_mean(0.355)) <= res.abs_error_estimate <= tol
+    for branch in ("upper", "lower"):
+        rows = list(acm_curve_sweep(uniform_grid(3), branch, alpha=None, tol=tol).iter_flat())
+        for s1, s2, value, _ in rows:
+            pair = mean_entanglement_acm(ShrinkParams(s1, s2), tol)
+            want = (mp_family_mean(s1) + mp_family_mean(s2)) / 2
+            assert abs(value - want) <= pair.abs_error_estimate <= tol, (branch, s1)
+            assert abs(value - pair.value) <= 1e-15  # one array pass, same answers
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(0.0, 1.0), tol=st.sampled_from([1e-7, 1e-8, 1e-10]))
+@example(s=0.0, tol=1e-10)
+@example(s=1 / 3, tol=1e-10)
+@example(s=math.nextafter(1 / 3, 1.0), tol=1e-10)
+@example(s=1.0, tol=1e-10)
+def test_family_mean_error_estimate_is_honest(s, tol):
+    res = family_mean(s, tol)
+    error = abs(mpmath.mpf(float(res.value)) - mp_family_mean(s))
+    assert error <= res.abs_error_estimate <= tol
+
+
+def test_family_mean_is_elementwise_and_zero_below_one_third():
+    shrinks = np.array([[0.0, 0.2, 1 / 3], [0.5, 0.88, 1.0]])
+    res = family_mean(shrinks, 1e-9)
+    assert res.value.shape == res.abs_error_estimate.shape == (2, 3)
+    assert res.value[0].tolist() == [0.0, 0.0, 0.0]
+    for s, value in zip(shrinks.ravel(), res.value.ravel()):
+        assert abs(value - float(family_mean(s, 1e-9).value)) <= 1e-15
+    # evaluations count integrand nodes: n + 2n per shrink on the first rung
+    assert res.evaluations == 6 * 3 * qclone.analysis.GL_LADDER[0]
+    for s, tol in ((-0.1, 1e-7), (1.5, 1e-7), (0.5, 1e-12), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            family_mean(s, tol)
+
+
+def test_family_mean_climbs_the_ladder_then_gives_up(monkeypatch):
+    # the 2- and 4-point pair misses 1e-10 at s = 1; the 16/32 pair meets it
+    monkeypatch.setattr(qclone.analysis, "GL_LADDER", (2, 16))
+    res = family_mean(1.0, 1e-10)
+    assert res.evaluations == 6 + 48
+    assert abs(res.value - family_mean(1.0, 1e-10).value) == 0.0
+    monkeypatch.setattr(qclone.analysis, "GL_LADDER", (2,))
+    with pytest.raises(QuadratureConvergenceError, match="s = 1.0"):
+        family_mean(1.0, 1e-10)
+
+
+def test_mean_sweep_checks_the_region_over_the_whole_grid(monkeypatch):
+    # boundary s2 always lies in the region; a broken boundary must not
+    # slip through the array pass
+    def broken(s1, branch):
+        return np.where((s1 > 0.85) & (s1 < 0.95), 0.9, acm_boundary_s2(s1, branch))
+
+    monkeypatch.setattr(qclone.analysis, "acm_boundary_s2", broken)
+    with pytest.raises(ConstraintViolatedError, match=r"\(s1, s2\) = \(0\.9\d*, 0\.9\)"):
+        acm_curve_sweep(uniform_grid(11), "upper", alpha=None)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qclone.analysis
+import qclone.qmath
 from qclone.analysis import QuadratureConvergenceError, mean_entanglement, uniform_grid
 from qclone.cli import main
 from qclone.cloners import acm_clone_closed
@@ -124,6 +125,17 @@ def test_quadrature_failure_exits_one(capsys, monkeypatch):
     assert rc == 1
     assert out == ""
     assert "numeric failure" in err and "scm" in err
+
+
+def test_real_convergence_failures_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr(qclone.analysis, "GL_LADDER", (2,))
+    rc, out, err = run_cli(capsys, ["mean", "--machine", "wzcm", "--quad-tol", "1e-10"])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "numeric failure" in err and "s = 1.0" in err
+    monkeypatch.setattr(qclone.qmath, "JACOBI_MAX_SWEEPS", 0)
+    rc, out, err = run_cli(capsys, ["entangle", "--machine", "acm", "--alpha", "0.6", "--s1", "0.8"])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "numeric failure" in err and "Jacobi" in err
 
 
 def test_clone_output_matches_closed_form(capsys):

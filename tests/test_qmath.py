@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+import qclone.qmath
 from qclone.qmath import (
+    EigenConvergenceError,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
     SQRT_RESIDUAL_TOL,
-    adjoint,
     as_state_vector,
     hermitian_eigen,
-    mat_mul,
     matrix_sqrt_psd,
     partial_trace,
 )
@@ -35,6 +35,17 @@ def test_eigen_matches_numpy_on_random_hermitian():
         res = hermitian_eigen(a)
         ref = np.linalg.eigvalsh(a)[::-1]
         assert np.allclose(res.values, ref, atol=1e-10, rtol=0.0)
+
+
+def test_eigen_raises_when_sweeps_run_out(monkeypatch):
+    # one sweep leaves a dense matrix far from diagonal; before the check
+    # the eigenvalues came back off by up to 0.89 without a word
+    a = random_hermitian(np.random.default_rng(3))
+    monkeypatch.setattr(qclone.qmath, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(EigenConvergenceError, match="1 Jacobi sweeps"):
+        hermitian_eigen(a)
+    # a diagonal matrix needs no sweep at all
+    assert hermitian_eigen(np.diag([3.0, 1.0, 2.0, 0.0])).values.tolist() == [3, 2, 1, 0]
 
 
 def test_eigen_reconstruction_and_unitarity():
@@ -202,20 +213,3 @@ def test_as_state_vector_checks_norm_and_shape():
         as_state_vector(good, 64)
     with pytest.raises(ValueError):
         as_state_vector(np.array([np.inf, 0, 0, 0]), 4)
-
-
-def test_adjoint():
-    rng = np.random.default_rng(41)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(adjoint(a), a.conj().T)
-
-
-def test_mat_mul():
-    rng = np.random.default_rng(42)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    eye = np.eye(4, dtype=np.complex128)
-    assert np.array_equal(mat_mul(eye, a), a)
-    assert np.max(np.abs(mat_mul(a, np.zeros((4, 4))))) == 0.0
-    flip = np.zeros((4, 4), dtype=np.complex128)
-    flip[0, 3], flip[1, 2], flip[2, 1], flip[3, 0] = -1, 1, 1, -1
-    assert np.array_equal(mat_mul(flip, flip), eye)
