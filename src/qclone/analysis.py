@@ -165,12 +165,16 @@ def integrate_adaptive_simpson(
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
+_SMALLEST = np.finfo(np.float64).smallest_subnormal
+
+
 def _wootters_eof(c: np.ndarray) -> np.ndarray:
     """Wootters' C -> EoF law elementwise on concurrences in [0, 1]."""
-    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    y = 1.0 - x
-    # same operation order as binary_entropy, with 0 log 0 = 0
-    return 0.0 - x * np.log2(x) - y * np.log2(np.where(y > 0.0, y, 1.0))
+    c2 = c * c
+    y = c2 / (2.0 + 2.0 * np.sqrt(1.0 - c2))
+    # as eof_from_concurrence; raising y = 0 to the smallest subnormal makes
+    # 0 log 0 = 0 and leaves every y > 0 as it is
+    return ((y - 1.0) * np.log1p(-y) - y * np.log(np.maximum(y, _SMALLEST))) / math.log(2.0)
 
 
 def family_eof(alpha, s):

@@ -34,7 +34,14 @@ BRANCHES = ("upper", "lower")
 
 _IDENTITY4 = np.eye(4, dtype=np.complex128)
 _BELL_PROJECTORS = tuple(np.outer(b, b.conj()) for b in BELL_MATRIX)
-_MACHINE_BASIS = tuple(np.eye(4, dtype=np.complex128)[i] for i in range(4))
+#: columns kron(kron(bell_i, bell_i), e_i): the joint wzcm output is this
+#: (64, 4) isometry applied to the Bell amplitudes.  The columns have
+#: disjoint supports (the machine factor e_i), so each output entry is one
+#: product c_i * bell_i[j] * bell_i[k].
+_WZCM_ISOMETRY = np.stack(
+    [np.kron(np.kron(b, b), e) for b, e in zip(BELL_MATRIX, np.eye(4, dtype=np.complex128))],
+    axis=1,
+)
 
 
 class ConstraintViolatedError(ValueError):
@@ -117,12 +124,7 @@ def wzcm_full_output(bell_coeffs) -> np.ndarray:
     The machine states |w_i> are the four orthonormal basis vectors of the
     4-dimensional ancilla; factor order is (pair 1) x (pair 2) x (machine).
     """
-    c = as_state_vector(bell_coeffs, 4)
-    out = np.zeros(64, dtype=np.complex128)
-    for ci, b, e in zip(c, BELL_MATRIX, _MACHINE_BASIS):
-        if ci != 0.0:
-            out = out + ci * np.kron(np.kron(b, b), e)
-    return out
+    return _WZCM_ISOMETRY @ as_state_vector(bell_coeffs, 4)
 
 
 def scm_shrink_factor(count: int) -> float:

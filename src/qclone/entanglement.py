@@ -84,10 +84,19 @@ def binary_entropy(x: float) -> float:
 
 
 def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation as a function of concurrence."""
+    """Entanglement of formation as a function of concurrence.
+
+    h(x) at x = (1 + sqrt(1 - C^2))/2, evaluated through the small side
+    y = 1 - x = C^2 / (2 (1 + sqrt(1 - C^2))) and log1p(-y): forming 1 - x
+    by subtraction would lose the relative precision of E at small C.
+    """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concurrence must lie in [0, 1], got {c!r}")
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    c2 = c * c
+    y = c2 / (2.0 + 2.0 * math.sqrt(1.0 - c2))
+    if y == 0.0:
+        return 0.0
+    return ((y - 1.0) * math.log1p(-y) - y * math.log(y)) / math.log(2.0)
 
 
 def spin_flip(rho) -> np.ndarray:

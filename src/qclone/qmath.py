@@ -9,12 +9,17 @@ Conventions shared by the whole package:
   arrays with tensor-factor ordering (pair 1) x (pair 2) x (machine),
   i.e. component index ``i1*16 + i2*4 + im``.
 
+Eigensolves go to LAPACK through numpy's ``eigh``.  Its zero eigenvalues
+come back as noise of a few eps times max|eigenvalue|, of either sign, so
+:func:`matrix_sqrt_psd` sets every eigenvalue at or below SQRT_ZERO_FLOOR
+times max|eigenvalue| to 0 before the square root: the root of a
+rank-deficient matrix then has no ~1e-8 component off its range.
+
 Everything here is a pure function; nothing keeps state between calls.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -23,15 +28,15 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 #: max allowed |<v|v> - 1| for state vectors.
 NORMALIZATION_TOL = 1e-9
-#: off-diagonal Frobenius norm at which Jacobi sweeps stop.
-JACOBI_OFF_TOL = 1e-14
-#: hard cap on Jacobi sweeps (a 4x4 never gets near this in practice).
-JACOBI_MAX_SWEEPS = 50
 #: eigenvalues in (-EIG_ROUNDOFF_NEG, 0) count as roundoff zeros; anything
 #: more negative is a genuine violation, not noise.
 EIG_ROUNDOFF_NEG = 1e-10
 #: guaranteed residual of matrix_sqrt_psd: max entry of |B@B - a|.
 SQRT_RESIDUAL_TOL = 1e-9
+#: eigenvalues at or below this multiple of max|eigenvalue| are eigh's
+#: backward-error noise on a zero eigenvalue (measured up to 2.7 eps on
+#: rank-deficient densities); matrix_sqrt_psd treats them as exact zeros.
+SQRT_ZERO_FLOOR = 16.0 * np.finfo(np.float64).eps
 
 #: subsystem labels accepted by partial_trace, in tensor-factor order.
 SUBSYSTEMS = ("clone1", "clone2", "machine")
@@ -54,7 +59,7 @@ class NotNormalizedError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Raised when Jacobi sweeps hit JACOBI_MAX_SWEEPS before converging."""
+    """Raised when LAPACK's Hermitian eigensolver fails to converge."""
 
 
 class EigenResult(NamedTuple):
@@ -90,96 +95,39 @@ def as_state_vector(vec, dim: int) -> np.ndarray:
     return v
 
 
-def _rotate(a: list, v: list, p: int, q: int) -> None:
-    # One two-sided unitary Jacobi rotation zeroing a[p][q] (and a[q][p]).
-    apq = a[p][q]
-    r = abs(apq)
-    if r == 0.0:
-        # exact zeros are never touched, so exact sparsity patterns survive
-        return
-    phase = apq / r
-    tau = (a[q][q].real - a[p][p].real) / (2.0 * r)
-    if tau == 0.0:
-        t = 1.0
-    else:
-        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = c * t
-    sp = s * phase
-    spc = s * phase.conjugate()
-    for i in range(4):
-        aip = a[i][p]
-        aiq = a[i][q]
-        a[i][p] = c * aip - spc * aiq
-        a[i][q] = sp * aip + c * aiq
-    for j in range(4):
-        apj = a[p][j]
-        aqj = a[q][j]
-        a[p][j] = c * apj - sp * aqj
-        a[q][j] = spc * apj + c * aqj
-    for i in range(4):
-        vip = v[i][p]
-        viq = v[i][q]
-        v[i][p] = c * vip - spc * viq
-        v[i][q] = sp * vip + c * viq
-
-
 def hermitian_eigen(a) -> EigenResult:
-    """Eigendecomposition of a Hermitian 4x4 matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian 4x4 matrix by LAPACK (numpy ``eigh``).
 
-    The fixed 4x4 size needs no general-purpose solver; plane rotations are
-    unconditionally stable on Hermitian input.  Sweeps run in the cyclic
-    order (0,1),(0,2),(0,3),(1,2),(1,3),(2,3) until the off-diagonal
-    Frobenius norm drops below JACOBI_OFF_TOL.
+    The input is symmetrized before the solve, and eigh's ascending order
+    is reversed to descending.
 
     Raises NotHermitianError if max |a - a^dag| exceeds HERMITICITY_TOL, and
-    EigenConvergenceError if the norm is still above JACOBI_OFF_TOL after
-    JACOBI_MAX_SWEEPS sweeps.
+    EigenConvergenceError if LAPACK reports that the solve did not converge.
     """
     m = _as_matrix4(a)
     if float(np.abs(m - m.conj().T).max()) > HERMITICITY_TOL:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    m = 0.5 * (m + m.conj().T)
-
-    w = [[complex(m[i, j]) for j in range(4)] for i in range(4)]
-    v = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(4)] for i in range(4)]
-    # pass JACOBI_MAX_SWEEPS + 1 measures the norm the last sweep left
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off_sq = 0.0
-        for p in range(3):
-            row = w[p]
-            for q in range(p + 1, 4):
-                z = row[q]
-                off_sq += z.real * z.real + z.imag * z.imag
-        if math.sqrt(2.0 * off_sq) < JACOBI_OFF_TOL:
-            break
-        if sweep == JACOBI_MAX_SWEEPS:
-            raise EigenConvergenceError(
-                f"off-diagonal norm {math.sqrt(2.0 * off_sq):g} still above "
-                f"{JACOBI_OFF_TOL:g} after {JACOBI_MAX_SWEEPS} Jacobi sweeps"
-            )
-        for p in range(3):
-            for q in range(p + 1, 4):
-                _rotate(w, v, p, q)
-
-    values = np.array([w[i][i].real for i in range(4)])
-    vectors = np.array(v, dtype=np.complex128)
-    order = np.argsort(-values, kind="stable")
-    return EigenResult(values[order], vectors[:, order])
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"Hermitian eigensolve failed: {exc}") from exc
+    return EigenResult(values[::-1], vectors[:, ::-1])
 
 
 def matrix_sqrt_psd(a) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues in (-EIG_ROUNDOFF_NEG, 0) are clamped to zero before the
-    square root; anything more negative raises NotPSDError.
+    Eigenvalues in (-EIG_ROUNDOFF_NEG, SQRT_ZERO_FLOOR * max|eigenvalue|]
+    are set to zero before the square root; anything below
+    -EIG_ROUNDOFF_NEG raises NotPSDError.
     """
     values, vectors = hermitian_eigen(a)
     if values[-1] < -EIG_ROUNDOFF_NEG:
         raise NotPSDError(
             f"eigenvalue {values[-1]!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor"
         )
-    roots = np.sqrt(np.clip(values, 0.0, None))
+    floor = SQRT_ZERO_FLOOR * max(values[0], -values[-1])
+    roots = np.sqrt(np.where(values > floor, values, 0.0))
     b = (vectors * roots) @ vectors.conj().T
     return 0.5 * (b + b.conj().T)
 

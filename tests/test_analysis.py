@@ -377,6 +377,20 @@ def test_wzcm_curve_is_exact_next_to_the_singlet():
     assert abs(row[1] - want) <= 1e-12
 
 
+@pytest.mark.parametrize("c", [5.8e-6, 5.8e-5, 1e-3])
+def test_family_eof_keeps_relative_precision_at_small_concurrence(c):
+    # the wzcm clone at alpha ~ c/2 has C = 2 alpha beta with no cancellation;
+    # forming 1 - x by subtraction missed E there by up to 6.9e-6 (relative)
+    alpha = c / 2.0
+    got = family_eof(alpha, 1.0)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        cm = 2 * a * mpmath.sqrt(1 - a * a)
+        y = cm * cm / (2 * (1 + mpmath.sqrt(1 - cm * cm)))
+        want = -((1 - y) * mpmath.log1p(-y) + y * mpmath.log(y)) / mpmath.log(2)
+    assert abs(got - float(want)) <= 1e-12 * float(want)
+
+
 def test_family_eof_broadcasts_and_validates():
     assert family_eof(SINGLET, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert family_eof(0.6, [0.0, 1 / 3]).tolist() == [0.0, 0.0]

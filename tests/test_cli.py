@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import qclone.analysis
-import qclone.qmath
 from qclone.analysis import QuadratureConvergenceError, mean_entanglement, uniform_grid
-from qclone.cli import main
+from qclone.cli import GRID_POINTS_MAX, main
 from qclone.cloners import acm_clone_closed
 from qclone.entanglement import concurrence
 from qclone.cloners import wzcm_family_clone
@@ -132,10 +131,14 @@ def test_real_convergence_failures_exit_one(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, ["mean", "--machine", "wzcm", "--quad-tol", "1e-10"])
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "numeric failure" in err and "s = 1.0" in err
-    monkeypatch.setattr(qclone.qmath, "JACOBI_MAX_SWEEPS", 0)
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     rc, out, err = run_cli(capsys, ["entangle", "--machine", "acm", "--alpha", "0.6", "--s1", "0.8"])
     assert rc == 1 and out == ""
-    assert err.count("\n") == 1 and "numeric failure" in err and "Jacobi" in err
+    assert err.count("\n") == 1 and "numeric failure" in err and "eigensolve failed" in err
 
 
 def test_clone_output_matches_closed_form(capsys):
@@ -272,6 +275,16 @@ def test_stdout_and_file_output_agree(capsys, tmp_path):
 def test_grid_validation(capsys):
     rc, _, err = run_cli(capsys, ["fig1", "--grid-points", "1"])
     assert rc == 2 and "grid-points" in err
+    rc, out, _ = run_cli(capsys, ["fig1", "--grid-points", str(GRID_POINTS_MAX)])
+    assert rc == 0 and len(parse_csv(out)[2]) == GRID_POINTS_MAX
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig4"])
+def test_grid_points_above_the_maximum_exit_two(capsys, command):
+    too_many = str(GRID_POINTS_MAX + 1)
+    rc, out, err = run_cli(capsys, [command, "--grid-points", too_many])
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and f"at most {GRID_POINTS_MAX}" in err
 
 
 def test_unknown_arguments_exit_two():

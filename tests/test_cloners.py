@@ -25,6 +25,7 @@ from qclone.cloners import (
 )
 from qclone.qmath import partial_trace
 from qclone.states import (
+    BELL_MATRIX,
     BELL_ORDER,
     assert_density_matrix,
     bell_state,
@@ -95,6 +96,21 @@ def test_wzcm_full_output_traces_to_clone():
         clone = wzcm_clone(coeffs)
         assert np.max(np.abs(partial_trace(full, "clone1") - clone)) < 1e-13
         assert np.max(np.abs(partial_trace(full, "clone2") - clone)) < 1e-13
+
+
+def test_wzcm_full_output_equals_kron_sum_bitwise():
+    # the isometry product against sum_i c_i kron(kron(bell_i, bell_i), e_i)
+    # term by term: the supports are disjoint, so no sum rounds
+    rng = np.random.default_rng(41)
+    machine = np.eye(4, dtype=np.complex128)
+    vectors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(300)]
+    vectors.append(np.array([0.0, 0.0, 0.0, 1.0]))
+    for c in vectors:
+        c = c / np.linalg.norm(c)
+        want = np.zeros(64, dtype=np.complex128)
+        for ci, b, e in zip(c, BELL_MATRIX, machine):
+            want = want + ci * np.kron(np.kron(b, b), e)
+        assert np.array_equal(wzcm_full_output(c), want)
 
 
 def test_wzcm_uniform_amplitudes_give_maximally_mixed_clone():

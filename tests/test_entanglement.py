@@ -8,8 +8,10 @@ sum(l_i^2) = tr(rho rho~).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qclone.cloners import (
     acm_clone,
@@ -42,13 +44,24 @@ def random_density(rng, rank=4):
     return rho / np.trace(rho).real
 
 
-def random_xstate(rng):
+def random_local_unitary(rng):
+    """U x V with U, V unitary 2x2 from QR of complex Gaussian matrices."""
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return np.kron(u, v)
+
+
+def random_xstate(rng, outer=None, inner=None):
+    """Random X-state; outer/inner fix |rho_03|, |rho_12| as fractions of their bounds."""
     d = rng.uniform(0.05, 1.0, size=4)
     d /= d.sum()
-    # coherences capped by the PSD bounds sqrt(d0 d3), sqrt(d1 d2)
+    # coherences capped by the PSD bounds sqrt(d0 d3), sqrt(d1 d2); a
+    # fraction of 1 puts the coherence on its bound, which drops the rank
     m = np.diag(d).astype(np.complex128)
-    z1 = rng.uniform(0, 1) * math.sqrt(d[0] * d[3]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    z2 = rng.uniform(0, 1) * math.sqrt(d[1] * d[2]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    r1 = rng.uniform(0, 1) if outer is None else outer
+    z1 = r1 * math.sqrt(d[0] * d[3]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    r2 = rng.uniform(0, 1) if inner is None else inner
+    z2 = r2 * math.sqrt(d[1] * d[2]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     m[0, 3], m[3, 0] = z1, z1.conjugate()
     m[1, 2], m[2, 1] = z2, z2.conjugate()
     return m
@@ -74,6 +87,16 @@ def test_eof_endpoints_and_checkpoint():
     assert abs(eof_from_concurrence(0.4) - 0.25022491161107085) < 1e-12
     with pytest.raises(ValueError):
         eof_from_concurrence(1.2)
+
+
+@pytest.mark.parametrize("c", [5.8e-6, 5.8e-5, 1e-3])
+def test_eof_keeps_relative_precision_at_small_concurrence(c):
+    # forming 1 - x by subtraction missed these by 6.9e-6, 9.9e-7 (relative)
+    with mpmath.workdps(40):
+        cm = mpmath.mpf(c)
+        y = cm * cm / (2 * (1 + mpmath.sqrt(1 - cm * cm)))
+        want = -((1 - y) * mpmath.log1p(-y) + y * mpmath.log(y)) / mpmath.log(2)
+    assert abs(eof_from_concurrence(c) - float(want)) <= 1e-12 * float(want)
 
 
 def test_eof_monotone_in_concurrence():
@@ -141,9 +164,7 @@ def test_local_unitary_invariance():
     for _ in range(100):
         rho = random_density(rng)
         base = concurrence(rho).concurrence
-        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        w, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        uw = np.kron(u, w)
+        uw = random_local_unitary(rng)
         rotated = uw @ rho @ uw.conj().T
         rotated = (rotated + rotated.conj().T) / 2.0
         assert abs(concurrence(rotated).concurrence - base) < 1e-9
@@ -154,6 +175,42 @@ def test_generic_matches_xstate_closed_form_on_random_xstates():
     for _ in range(300):
         rho = random_xstate(rng)
         assert abs(concurrence(rho).concurrence - concurrence_xstate(rho)) <= 1e-9
+
+
+# Properties of the generic pipeline over random states of every rank: a
+# rank-deficient rho is where the eigensolver's noise on zero eigenvalues
+# would reach the square root and the l_i.
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, rank=st.integers(1, 4))
+def test_concurrence_and_eof_lie_in_unit_interval(seed, rank):
+    report = concurrence(random_density(np.random.default_rng(seed), rank))
+    assert 0.0 <= report.concurrence <= 1.0
+    assert 0.0 <= report.eof <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, rank=st.integers(1, 4))
+def test_concurrence_is_invariant_under_local_unitaries(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, rank)
+    uv = random_local_unitary(rng)
+    rotated = uv @ rho @ uv.conj().T
+    rotated = (rotated + rotated.conj().T) / 2.0
+    assert abs(concurrence(rotated).concurrence - concurrence(rho).concurrence) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=SEEDS,
+    outer=st.sampled_from([None, 1.0]),
+    inner=st.sampled_from([None, 1.0]),
+)
+def test_concurrence_matches_xstate_formula(seed, outer, inner):
+    rho = random_xstate(np.random.default_rng(seed), outer, inner)
+    assert abs(concurrence(rho).concurrence - concurrence_xstate(rho)) <= 1e-10
 
 
 def test_generic_matches_xstate_closed_form_on_cloner_outputs():
