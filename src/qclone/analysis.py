@@ -8,10 +8,12 @@ sweep is one array expression over its whole grid.  :func:`family_mean`
 integrates the same closed form over alpha for a whole array of shrinks
 at once, by Gauss-Legendre on the pieces where C > 0.
 
-Every sweep is deterministic, and rows are emitted sorted ascending by
-their input coordinates.  Degenerate shrink pairs are computed like any
-other point but tagged, so downstream plotting can drop or mark them;
-excluded region points carry None instead of a value.
+Every sweep is deterministic and returns a :class:`SweepSeries`: one
+numpy array per column, its rows in ascending order of their input
+coordinates, and 2-D grids laid out by ``np.repeat``/``np.tile``.
+Degenerate shrink pairs are computed like any other point but tagged, so
+downstream plotting can drop or mark them; points outside the allowed
+region are masked as missing, and ``iter_flat`` reads them as None.
 """
 
 from __future__ import annotations
@@ -72,32 +74,49 @@ class QuadratureResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSeries:
-    """A table of sweep results.
+    """A table of sweep results, one numpy array per column.
 
-    ``rows`` holds (inputs, outputs) tuple pairs; ``axis_names`` names the
-    flattened columns, inputs first.  Rows are sorted ascending by inputs
-    and input tuples are unique.  Output entries are floats, None for
-    points excluded from the allowed region, or booleans for flags.
+    ``axis_names`` names ``columns``; rows are in strictly ascending
+    lexicographic order of the first ``inputs`` columns, so inputs are
+    unique.  ``missing`` is None or one boolean mask (or None) per column,
+    set at points excluded from the allowed region.
     """
 
     axis_names: tuple[str, ...]
-    rows: tuple[tuple[tuple, tuple], ...]
-    machine_tag: str
+    columns: tuple[np.ndarray, ...]
+    inputs: int
+    missing: tuple[np.ndarray | None, ...] | None = None
 
     def __post_init__(self):
-        inputs = [r[0] for r in self.rows]
-        for a, b in zip(inputs, inputs[1:]):
-            if b < a:
-                raise ValueError("rows must be sorted ascending by inputs")
-        if len(set(inputs)) != len(inputs):
-            raise ValueError("duplicate input tuples in sweep rows")
+        n = len(self.columns[0])
+        masks = self.missing or (None,) * len(self.columns)
+        if not len(self.axis_names) == len(self.columns) == len(masks):
+            raise ValueError("one column and one mask per axis name")
+        if any(len(a) != n for a in (*self.columns, *(m for m in masks if m is not None))):
+            raise ValueError("columns and masks differ in length")
+        # rows k and k+1: already increasing, or equal on the inputs so far
+        first, *rest = self.columns[: self.inputs]
+        step = first[1:] - first[:-1]
+        increasing, equal = step > 0, step == 0
+        for col in rest:
+            step = col[1:] - col[:-1]
+            increasing |= equal & (step > 0)
+            equal &= step == 0
+        if not increasing.all():
+            if equal.any():
+                raise ValueError("duplicate input tuples in sweep rows")
+            raise ValueError("rows must be sorted ascending by inputs")
 
     def iter_flat(self) -> Iterable[tuple]:
-        """Rows as flat tuples aligned with axis_names."""
-        for inputs, outputs in self.rows:
-            yield inputs + outputs
+        """Rows as flat tuples aligned with axis_names: Python scalars, and
+        None at missing points."""
+        cols = [c.tolist() for c in self.columns]
+        for j, mask in enumerate(self.missing or ()):
+            if mask is not None:
+                cols[j] = [None if m else v for v, m in zip(cols[j], mask.tolist())]
+        return zip(*cols)
 
 
 def uniform_grid(n: int) -> np.ndarray:
@@ -305,8 +324,7 @@ def entanglement_curve(
         values = 0.5 * (family_eof(alphas, params.s1) + family_eof(alphas, params.s2))
     else:
         values = family_eof(alphas, 1.0 if machine == "wzcm" else scm_shrink_factor(2))
-    rows = tuple(((a,), (v,)) for a, v in zip(alphas.tolist(), values.tolist()))
-    return SweepSeries(axis_names=("alpha", "eof"), rows=rows, machine_tag=machine)
+    return SweepSeries(axis_names=("alpha", "eof"), columns=(alphas, values), inputs=1)
 
 
 def mean_entanglement(machine: str, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
@@ -357,20 +375,14 @@ def acm_curve_sweep(
     if alpha is None:
         _require_region(s1s, s2s)
         means = family_mean(np.stack((s1s, s2s)), tol).value
-        values = (0.5 * (means[0] + means[1])).tolist()
+        values = 0.5 * (means[0] + means[1])
     else:
-        values = (0.5 * (family_eof(alpha, s1s) + family_eof(alpha, s2s))).tolist()
-    rows = tuple(
-        ((s1,), (s2, value, flag))
-        for s1, s2, value, flag in zip(
-            s1s.tolist(), s2s.tolist(), values, acm_degenerate(s1s, s2s).tolist()
-        )
-    )
+        values = 0.5 * (family_eof(alpha, s1s) + family_eof(alpha, s2s))
     name = "mean_eof" if alpha is None else "avg_eof"
     return SweepSeries(
         axis_names=("s1", "s2", name, "degenerate"),
-        rows=rows,
-        machine_tag="acm",
+        columns=(s1s, s2s, values, acm_degenerate(s1s, s2s)),
+        inputs=1,
     )
 
 
@@ -378,41 +390,32 @@ def scm_multiclone_entanglement(alpha: float, counts: Sequence[int]) -> SweepSer
     """Concurrence and entanglement of one symmetric clone per copy count."""
     ms = sorted(set(int(m) for m in counts))
     state = psi_minus_family(alpha)
-    rows = []
-    for m in ms:
-        report = concurrence(scm_clone(state, m))
-        rows.append(((m,), (report.concurrence, report.eof)))
+    reports = [concurrence(scm_clone(state, m)) for m in ms]
+    values = np.array([(r.concurrence, r.eof) for r in reports], dtype=float).reshape(-1, 2)
     return SweepSeries(
         axis_names=("clones", "concurrence", "eof"),
-        rows=tuple(rows),
-        machine_tag="scm",
+        columns=(np.array(ms, dtype=int), values[:, 0], values[:, 1]),
+        inputs=1,
     )
 
 
 def acm_region_grid(resolution: int, alpha: float) -> SweepSeries:
     """Two-copy average entanglement over an (s1, s2) grid of the unit square.
 
-    Points outside the allowed region carry None; degenerate endpoints are
-    evaluated but tagged.
+    Rows run over s1, then s2.  Points outside the allowed region are
+    missing from avg_eof; degenerate endpoints are evaluated but tagged.
     """
     grid = uniform_grid(resolution)
-    s1, s2 = grid[:, None], grid[None, :]
+    n = grid.size
+    s1, s2 = np.repeat(grid, n), np.tile(grid, n)
     eof = family_eof(alpha, grid)
-    values = 0.5 * (eof[:, None] + eof[None, :])
-    inside = acm_region_value(s1, s2) <= CONSTRAINT_SLACK
-    flags = acm_degenerate(s1, s2)
-    g = grid.tolist()
-    rows = tuple(
-        ((a, b), (value if keep else None, flag))
-        for a, row_values, row_inside, row_flags in zip(
-            g, values.tolist(), inside.tolist(), flags.tolist()
-        )
-        for b, value, keep, flag in zip(g, row_values, row_inside, row_flags)
-    )
+    values = 0.5 * (np.repeat(eof, n) + np.tile(eof, n))
+    outside = acm_region_value(s1, s2) > CONSTRAINT_SLACK
     return SweepSeries(
         axis_names=("s1", "s2", "avg_eof", "degenerate"),
-        rows=rows,
-        machine_tag="acm",
+        columns=(s1, s2, values, acm_degenerate(s1, s2)),
+        inputs=2,
+        missing=(None, None, outside, None),
     )
 
 
@@ -427,16 +430,9 @@ def acm_alpha_surface(
     s2s = np.clip(acm_boundary_s2(s1s, branch), 0.0, 1.0)
     a = alphas[:, None]
     values = 0.5 * (family_eof(a, s1s) + family_eof(a, s2s))
-    boundary = tuple(
-        zip(s1s.tolist(), s2s.tolist(), acm_degenerate(s1s, s2s).tolist())
-    )
-    rows = tuple(
-        ((alpha, s1), (s2, value, flag))
-        for alpha, row_values in zip(alphas.tolist(), values.tolist())
-        for (s1, s2, flag), value in zip(boundary, row_values)
-    )
+    s1, s2 = np.tile(s1s, alphas.size), np.tile(s2s, alphas.size)
     return SweepSeries(
         axis_names=("alpha", "s1", "s2", "avg_eof", "degenerate"),
-        rows=rows,
-        machine_tag="acm",
+        columns=(np.repeat(alphas, s1s.size), s1, s2, values.ravel(), acm_degenerate(s1, s2)),
+        inputs=2,
     )

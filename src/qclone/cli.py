@@ -4,6 +4,9 @@ Output format, shared by every command: zero or more `# key: value` comment
 lines recording the exact configuration, one header row naming the columns,
 then data rows.  Fields are comma-separated, floats carry 9 significant
 digits, line endings are Unix.  Identical flags produce identical bytes.
+Each command computes its table as numpy columns before a byte is written,
+so exit-1 and exit-2 failures write nothing; the rows are then formatted
+and written BLOCK_ROWS at a time, never held as one string.
 
 Exit codes: 0 on success, 1 when a quadrature or an eigensolve fails to
 converge (the diagnostic names the failing computation), 2 on flag
@@ -16,6 +19,7 @@ import argparse
 import functools
 import math
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -24,37 +28,54 @@ from . import analysis, cloners, entanglement, qmath, states
 PROG = "qclone"
 
 _SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
-#: largest accepted --grid-points: fig2 and fig4 hold n^2 rows in memory
-#: as one string (fig2 at 1001 writes 31 MB and peaks near 420 MB RSS).
+#: largest accepted --grid-points: fig2 and fig4 write n^2 rows, and at
+#: 1001 (a million rows, 31 MB of CSV for fig2) they take 1-2 s.
 GRID_POINTS_MAX = 1001
+#: rows formatted and written at a time.
+BLOCK_ROWS = 4096
+#: row-template field per column dtype kind; bools go in as words.
+_SPECS = {"f": "%.9g", "i": "%d", "b": "%s"}
+#: CSV words of False and True; object dtype, so indexing yields str.
+_BOOL_WORDS = np.array(["false", "true"], dtype=object)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "outside_region"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".9g")
-
-
-def _render(command: str, config: list[tuple[str, object]], header: list[str], rows) -> str:
+def _render(command: str, config, header: list[str], columns, missing=None) -> Iterator[str]:
+    """The CSV of a table of numpy columns: comment and header lines, then
+    blocks of up to BLOCK_ROWS rows, each formatted by one % over a row
+    template built from the column dtypes: %.9g for floats, %d for ints,
+    true/false for bools.  ``missing`` is None or one mask (or None) per
+    column; masked points print as outside_region.
+    """
     lines = [f"# command: {command}"]
     for key, value in config:
         lines.append(f"# {key}: {value!r}" if isinstance(value, float) else f"# {key}: {value}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    masks = missing or (None,) * len(columns)
+    row = ",".join(
+        "%s" if mask is not None else _SPECS[c.dtype.kind] for c, mask in zip(columns, masks)
+    ) + "\n"
+    k, n = len(columns), len(columns[0])
+    for lo in range(0, n, BLOCK_ROWS):
+        m = min(BLOCK_ROWS, n - lo)
+        cells = [None] * (m * k)
+        for j, (col, mask) in enumerate(zip(columns, masks)):
+            part = col[lo : lo + m]
+            if mask is not None:
+                text = ("%.9g\n" * m % tuple(part.tolist())).split("\n")[:-1]
+                part = np.where(mask[lo : lo + m], "outside_region", np.array(text, dtype=object))
+            elif part.dtype.kind == "b":
+                part = _BOOL_WORDS[part.astype(int)]
+            cells[j::k] = part.tolist()
+        yield row * m % tuple(cells)
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(chunks: Iterator[str], path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 class _UsageError(Exception):
@@ -116,13 +137,14 @@ def _clone_matrix(args) -> tuple[np.ndarray, list[tuple[str, object]]]:
     return cloners.acm_clone(state, param), config + [("s1", float(param))]
 
 
-def _cmd_clone(args) -> str:
+def _cmd_clone(args) -> Iterator[str]:
     rho, config = _clone_matrix(args)
-    rows = [(i, j, rho[i, j].real, rho[i, j].imag) for i in range(4) for j in range(4)]
-    return _render("clone", config, ["row", "col", "re", "im"], rows)
+    index = np.arange(4)
+    columns = [np.repeat(index, 4), np.tile(index, 4), rho.real.ravel(), rho.imag.ravel()]
+    return _render("clone", config, ["row", "col", "re", "im"], columns)
 
 
-def _cmd_entangle(args) -> str:
+def _cmd_entangle(args) -> Iterator[str]:
     rho, config = _clone_matrix(args)
     state = states.psi_minus_family(args.alpha)
     report = entanglement.concurrence(rho)
@@ -138,10 +160,10 @@ def _cmd_entangle(args) -> str:
         "fidelity",
     ]
     row = (args.alpha, report.concurrence, report.eof) + report.lambdas + (fid,)
-    return _render("entangle", config, header, [row])
+    return _render("entangle", config, header, [np.array([x]) for x in row])
 
 
-def _cmd_mean(args) -> str:
+def _cmd_mean(args) -> Iterator[str]:
     _check_tol(args.quad_tol)
     config = [("machine", args.machine), ("quad_tol", float(args.quad_tol))]
     if args.machine == "acm":
@@ -162,31 +184,27 @@ def _cmd_mean(args) -> str:
         result = analysis.mean_entanglement(args.machine, args.quad_tol)
     header = ["value", "abs_error_estimate", "evaluations"]
     row = (result.value, result.abs_error_estimate, result.evaluations)
-    return _render("mean", config, header, [row])
+    return _render("mean", config, header, [np.array([x]) for x in row])
 
 
-def _cmd_fig1(args) -> str:
+def _cmd_fig1(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     grid = analysis.uniform_grid(args.grid_points)
-    wz = analysis.entanglement_curve("wzcm", grid)
-    sc = analysis.entanglement_curve("scm", grid)
-    rows = [
-        (a_row[0], a_row[1], b_row[1])
-        for a_row, b_row in zip(wz.iter_flat(), sc.iter_flat())
-    ]
+    alphas, wz = analysis.entanglement_curve("wzcm", grid).columns
+    sc = analysis.entanglement_curve("scm", grid).columns[1]
     config = [("grid_points", args.grid_points)]
-    return _render("fig1", config, ["alpha", "eof_wzcm", "eof_scm"], rows)
+    return _render("fig1", config, ["alpha", "eof_wzcm", "eof_scm"], [alphas, wz, sc])
 
 
-def _cmd_fig2(args) -> str:
+def _cmd_fig2(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
     series = analysis.acm_region_grid(args.grid_points, args.alpha)
     config = [("alpha", float(args.alpha)), ("grid_points", args.grid_points)]
-    return _render("fig2", config, list(series.axis_names), series.iter_flat())
+    return _render("fig2", config, series.axis_names, series.columns, series.missing)
 
 
-def _cmd_fig3(args) -> str:
+def _cmd_fig3(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
     grid = analysis.uniform_grid(args.grid_points)
@@ -196,35 +214,33 @@ def _cmd_fig3(args) -> str:
         ("branch", args.branch),
         ("grid_points", args.grid_points),
     ]
-    return _render("fig3", config, list(series.axis_names), series.iter_flat())
+    return _render("fig3", config, series.axis_names, series.columns)
 
 
-def _cmd_fig4(args) -> str:
+def _cmd_fig4(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     grid = analysis.uniform_grid(args.grid_points)
     series = analysis.acm_alpha_surface(grid, grid, args.branch)
     config = [("branch", args.branch), ("grid_points", args.grid_points)]
-    return _render("fig4", config, list(series.axis_names), series.iter_flat())
+    return _render("fig4", config, series.axis_names, series.columns)
 
 
-def _cmd_fig5(args) -> str:
+def _cmd_fig5(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_tol(args.quad_tol)
     grid = analysis.uniform_grid(args.grid_points)
     series = analysis.acm_curve_sweep(grid, args.branch, alpha=None, tol=args.quad_tol)
     mean_wz = analysis.mean_entanglement("wzcm", args.quad_tol).value
     mean_sc = analysis.mean_entanglement("scm", args.quad_tol).value
-    rows = [
-        (s1, s2, value, mean_wz, mean_sc, degenerate)
-        for s1, s2, value, degenerate in series.iter_flat()
-    ]
+    s1, s2, value, degenerate = series.columns
+    columns = [s1, s2, value, np.full(s1.size, mean_wz), np.full(s1.size, mean_sc), degenerate]
     header = ["s1", "s2", "mean_eof_acm", "mean_eof_wzcm", "mean_eof_scm", "degenerate"]
     config = [
         ("branch", args.branch),
         ("grid_points", args.grid_points),
         ("quad_tol", float(args.quad_tol)),
     ]
-    return _render("fig5", config, header, rows)
+    return _render("fig5", config, header, columns)
 
 
 _COMMANDS = {
@@ -300,14 +316,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
+        chunks = _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except (analysis.QuadratureConvergenceError, qmath.EigenConvergenceError) as exc:
         print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
         return 1
-    _write(text, args.output)
+    _write(chunks, args.output)
     return 0
 
 

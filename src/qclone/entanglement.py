@@ -71,18 +71,6 @@ class EntanglementReport:
     method: str = "generic"
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with 0 log 0 = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy argument must lie in [0, 1], got {x!r}")
-    e = 0.0
-    if x > 0.0:
-        e -= x * math.log2(x)
-    if x < 1.0:
-        e -= (1.0 - x) * math.log2(1.0 - x)
-    return e
-
-
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation as a function of concurrence.
 

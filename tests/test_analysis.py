@@ -139,12 +139,42 @@ def test_uniform_grid():
 
 
 def test_sweep_series_validates_ordering_and_uniqueness():
-    rows = (((0.5,), (1.0,)), ((0.2,), (2.0,)))
-    with pytest.raises(ValueError):
-        SweepSeries(axis_names=("x", "y"), rows=rows, machine_tag="t")
-    rows = (((0.2,), (1.0,)), ((0.2,), (2.0,)))
-    with pytest.raises(ValueError):
-        SweepSeries(axis_names=("x", "y"), rows=rows, machine_tag="t")
+    def series(*columns, inputs=1):
+        names = tuple("xyzw"[: len(columns)])
+        columns = tuple(np.array(c) for c in columns)
+        return SweepSeries(axis_names=names, columns=columns, inputs=inputs)
+
+    with pytest.raises(ValueError, match="sorted"):
+        series([0.5, 0.2], [1.0, 2.0])
+    with pytest.raises(ValueError, match="duplicate"):
+        series([0.2, 0.2], [1.0, 2.0])
+    with pytest.raises(ValueError, match="differ in length"):
+        series([0.2, 0.5], [1.0])
+    with pytest.raises(ValueError, match="one mask per axis"):
+        SweepSeries(("x",), (np.zeros(1),), inputs=1, missing=(None, None))
+    with pytest.raises(ValueError, match="differ in length"):
+        SweepSeries(("x", "y"), (np.zeros(1), np.zeros(1)), 1, missing=(None, np.zeros(2, bool)))
+    # two inputs: lexicographic, so the second may fall when the first rises
+    series([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [5.0, 6.0, 7.0, 8.0], inputs=2)
+    with pytest.raises(ValueError, match="sorted"):
+        series([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [5.0, 6.0, 7.0], inputs=2)
+    with pytest.raises(ValueError, match="duplicate"):
+        series([0.0, 1.0, 1.0], [0.0, 0.5, 0.5], [5.0, 6.0, 7.0], inputs=2)
+    # an output column need not be sorted, and one row is always in order
+    series([0.0, 1.0], [2.0, 1.0])
+    series([0.3], [1.0])
+
+
+def test_sweep_series_iter_flat_gives_python_scalars_and_none_where_missing():
+    s = SweepSeries(
+        axis_names=("clones", "value", "flag"),
+        columns=(np.array([2, 3]), np.array([0.5, 0.25]), np.array([True, False])),
+        inputs=1,
+        missing=(None, np.array([False, True]), None),
+    )
+    rows = list(s.iter_flat())
+    assert rows == [(2, 0.5, True), (3, None, False)]
+    assert [type(x) for x in rows[0]] == [int, float, bool]
 
 
 def test_entanglement_curve_wzcm_equals_input_entanglement():

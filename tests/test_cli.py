@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qclone.analysis
+import qclone.cli
 from qclone.analysis import QuadratureConvergenceError, mean_entanglement, uniform_grid
 from qclone.cli import GRID_POINTS_MAX, main
 from qclone.cloners import acm_clone_closed
@@ -270,6 +271,29 @@ def test_stdout_and_file_output_agree(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, ["fig1", "--grid-points", "7"])
     assert rc == 0
     assert path.read_text() == out
+
+
+def test_block_boundaries_leave_the_bytes_unchanged(capsys, monkeypatch):
+    # block sizes that split the table unevenly, evenly and not at all
+    argvs = (
+        ["fig2", "--grid-points", "11"],
+        ["fig4", "--grid-points", "9"],
+        ["fig5", "--grid-points", "5"],
+    )
+    whole = [run_cli(capsys, argv)[1] for argv in argvs]
+    for rows in (1, 7, 11, 100000):
+        monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", rows)
+        assert [run_cli(capsys, argv)[1] for argv in argvs] == whole
+
+
+def test_failures_write_nothing_to_the_output_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    rc, _, err = run_cli(capsys, ["fig2", "--grid-points", "1002", "--output", str(path)])
+    assert rc == 2 and "--grid-points" in err
+    monkeypatch.setattr(qclone.analysis, "GL_LADDER", (2,))
+    rc, _, err = run_cli(capsys, ["fig5", "--quad-tol", "1e-10", "--output", str(path)])
+    assert rc == 1 and "numeric failure" in err
+    assert not path.exists()
 
 
 def test_grid_validation(capsys):

@@ -23,7 +23,6 @@ from qclone.entanglement import (
     EntanglementReport,
     NotXStateError,
     SIGMA_Y_PAIR,
-    binary_entropy,
     concurrence,
     concurrence_xstate,
     eof_from_concurrence,
@@ -65,20 +64,6 @@ def random_xstate(rng, outer=None, inner=None):
     m[0, 3], m[3, 0] = z1, z1.conjugate()
     m[1, 2], m[2, 1] = z2, z2.conjugate()
     return m
-
-
-def test_binary_entropy_reference_points():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
-    assert abs(binary_entropy(0.95826) - 0.250213923614602) < 1e-12
-    assert binary_entropy(0.25) == binary_entropy(0.75)
-
-
-def test_binary_entropy_domain():
-    for bad in (-0.01, 1.01):
-        with pytest.raises(ValueError):
-            binary_entropy(bad)
 
 
 def test_eof_endpoints_and_checkpoint():
