@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from .states import psi_minus_family
 
 #: default absolute tolerance of the quadratures.
 QUAD_DEFAULT_TOL = 1e-7
-#: recursion depth cap of the adaptive quadrature.
-QUAD_MAX_DEPTH = 30
 #: tolerances tighter than this are rejected as unreachable in float64.
 QUAD_MIN_TOL = 1e-10
 #: Gauss-Legendre orders n of family_mean, tried in turn; each rung pairs
@@ -131,57 +129,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite number, got {tol!r}")
     if tol < QUAD_MIN_TOL:
         raise ValueError(f"tolerance {tol!r} below the {QUAD_MIN_TOL:g} floor")
-
-
-def integrate_adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = QUAD_DEFAULT_TOL,
-    *,
-    max_depth: int = QUAD_MAX_DEPTH,
-    label: str = "integral",
-) -> QuadratureResult:
-    """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance tol.
-
-    Interval acceptance uses the standard |S2 - S1| <= 15 tol test plus the
-    S2 + (S2-S1)/15 correction; the first two refinement levels are always
-    taken so a symmetric integrand cannot fake convergence on the top
-    interval.  Raises QuadratureConvergenceError past ``max_depth`` levels.
-    """
-    _check_tol(tol)
-    evals = 0
-
-    def feval(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(x)
-
-    def refine(x0, f0, x2, f2, x4, f4, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        x3 = 0.5 * (x2 + x4)
-        f1 = feval(x1)
-        f3 = feval(x3)
-        left = (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-        right = (x4 - x2) * (f2 + 4.0 * f3 + f4) / 6.0
-        delta = left + right - whole
-        if depth >= 2 and abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        if depth >= max_depth:
-            raise QuadratureConvergenceError(
-                f"{label}: no convergence on [{x0:g}, {x4:g}] at depth {max_depth}"
-            )
-        lv, le = refine(x0, f0, x1, f1, x2, f2, left, 0.5 * tol, depth + 1)
-        rv, re = refine(x2, f2, x3, f3, x4, f4, right, 0.5 * tol, depth + 1)
-        return lv + rv, le + re
-
-    fa = feval(a)
-    fb = feval(b)
-    mid = 0.5 * (a + b)
-    fm = feval(mid)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    value, err = refine(a, fa, mid, fm, b, fb, whole, tol, 0)
-    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
 _SMALLEST = np.finfo(np.float64).smallest_subnormal

@@ -8,9 +8,9 @@ Each command computes its table as numpy columns before a byte is written,
 so exit-1 and exit-2 failures write nothing; the rows are then formatted
 and written BLOCK_ROWS at a time, never held as one string.
 
-Exit codes: 0 on success, 1 when a quadrature or an eigensolve fails to
-converge (the diagnostic names the failing computation), 2 on flag
-validation errors.
+Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
+concurrence SVD fails to converge (the diagnostic names the failing
+computation), 2 on flag validation errors.
 """
 
 from __future__ import annotations
@@ -320,7 +320,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except (analysis.QuadratureConvergenceError, qmath.EigenConvergenceError) as exc:
+    except (
+        analysis.QuadratureConvergenceError,
+        qmath.EigenConvergenceError,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
         return 1
     _write(chunks, args.output)

@@ -8,8 +8,9 @@ eigenvalues of rho * rho_tilde, and the entanglement of formation is
     E = h((1 + sqrt(1 - C^2)) / 2),    h(x) = -x log2 x - (1-x) log2 (1-x).
 
 Instead of a non-Hermitian eigensolve of rho*rho_tilde, the l_i are taken
-from the Hermitian product sqrt(rho) * rho_tilde * sqrt(rho), which has the
-same spectrum but is guaranteed real and nonnegative.
+as the singular values of sqrt(rho) * (sigma_y x sigma_y) * sqrt(rho)*,
+whose squares are that spectrum: no eigenvalue goes under a square root,
+so a small l_i keeps an absolute error of a few eps.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import (
-    EIG_ROUNDOFF_NEG,
-    NotPSDError,
-    as_state_vector,
-    hermitian_eigen,
-    matrix_sqrt_psd,
-)
+from .qmath import SQRT_ZERO_FLOOR, as_state_vector, matrix_sqrt_psd
 
 #: entries outside the diagonal and anti-diagonal must stay below this for
 #: the closed-form X-state route to apply.
@@ -33,10 +28,6 @@ XSTATE_TOL = 1e-12
 #: an expectation value of a Hermitian operator with imaginary part at or
 #: above this is an internal error, not a warning.
 IMAG_TOL = 1e-12
-#: eigenvalues of the sandwiched Hermitian product below this floor are
-#: matrix-product roundoff from rank deficiency, not physics; taking their
-#: square roots would inject ~1e-8 junk into the l_i.
-RANK_NOISE_FLOOR = 1e-13
 
 #: sigma_y x sigma_y over the computational basis.
 SIGMA_Y_PAIR = np.array(
@@ -98,21 +89,17 @@ def spin_flip(rho) -> np.ndarray:
 def concurrence(rho) -> EntanglementReport:
     """Concurrence and entanglement of formation of a two-qubit state.
 
-    Forms H = sqrt(rho) * rho_tilde * sqrt(rho), takes its eigenvalues,
-    zeroes those below RANK_NOISE_FLOOR, and reads the l_i off as square
-    roots.  Eigenvalues below the PSD roundoff floor raise NotPSDError.
+    Reads the l_i off as the singular values of
+    R * (sigma_y x sigma_y) * R* with R = sqrt(rho), and sets to 0 every l_i
+    and a C at or below SQRT_ZERO_FLOOR * l1, the size of their rounding
+    error.  matrix_sqrt_psd raises NotPSDError on a non-PSD rho.
     """
     root = matrix_sqrt_psd(rho)
-    h = root @ spin_flip(rho) @ root
-    h = 0.5 * (h + h.conj().T)
-    values, _ = hermitian_eigen(h)
-    if values[-1] < -EIG_ROUNDOFF_NEG:
-        raise NotPSDError(f"sandwiched product eigenvalue {values[-1]!r} below floor")
-    lams = tuple(
-        math.sqrt(v) if v > RANK_NOISE_FLOOR else 0.0 for v in values.tolist()
-    )
+    l = np.linalg.svd(root @ SIGMA_Y_PAIR @ root.conj(), compute_uv=False)
+    floor = SQRT_ZERO_FLOOR * l[0]
+    lams = tuple(np.where(l > floor, l, 0.0).tolist())
     c = lams[0] - lams[1] - lams[2] - lams[3]
-    c = min(max(c, 0.0), 1.0)
+    c = min(c, 1.0) if c > floor else 0.0
     return EntanglementReport(
         concurrence=c,
         eof=eof_from_concurrence(c),

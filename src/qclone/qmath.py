@@ -36,6 +36,8 @@ SQRT_RESIDUAL_TOL = 1e-9
 #: eigenvalues at or below this multiple of max|eigenvalue| are eigh's
 #: backward-error noise on a zero eigenvalue (measured up to 2.7 eps on
 #: rank-deficient densities); matrix_sqrt_psd treats them as exact zeros.
+#: entanglement.concurrence applies the same multiple of l1 to the l_i and
+#: to C, whose rounding errors are of that size.
 SQRT_ZERO_FLOOR = 16.0 * np.finfo(np.float64).eps
 
 #: subsystem labels accepted by partial_trace, in tensor-factor order.

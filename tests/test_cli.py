@@ -141,6 +141,15 @@ def test_real_convergence_failures_exit_one(capsys, monkeypatch):
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "numeric failure" in err and "eigensolve failed" in err
 
+    def fail_svd(a, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "svd", fail_svd)
+    rc, out, err = run_cli(capsys, ["entangle", "--machine", "wzcm", "--alpha", "0.6"])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "numeric failure" in err and "SVD did not converge" in err
+
 
 def test_clone_output_matches_closed_form(capsys):
     rc, out, _ = run_cli(

@@ -1,9 +1,10 @@
 """Concurrence and entanglement of formation against independent oracles.
 
-The generic pipeline (PSD square root, sandwiched product, eigensolve) is
-cross-checked three ways: the closed-form X-state expression, the
-pure-state law C = |<psi|sigma_y x sigma_y|psi*>|, and the trace identity
-sum(l_i^2) = tr(rho rho~).
+The generic pipeline (PSD square root, singular values of
+sqrt(rho) (sigma_y x sigma_y) sqrt(rho)*) is cross-checked three ways: the
+closed-form X-state expression, the pure-state law
+C = |<psi|sigma_y x sigma_y|psi*>|, and the trace identity
+sum(l_i^2) = tr(rho rho~); next to the singlet, against mpmath.
 """
 
 import math
@@ -222,6 +223,21 @@ def test_wzcm_clone_concurrence_is_two_alpha_beta():
         beta = math.sqrt(1 - alpha * alpha)
         got = concurrence(wzcm_family_clone(alpha)).concurrence
         assert abs(got - 2 * alpha * beta) < 1e-12
+
+
+def test_wzcm_clone_spectrum_next_to_the_singlet_matches_mpmath():
+    # lambda2 = (alpha - beta)^2 / 2 is below 8e-6 here: taken as the square
+    # root of an eigenvalue of rho rho~ it would carry an error of
+    # ~eps / (2 lambda2), and a zero-floor on that eigenvalue biases C
+    for alpha in np.linspace(-2e-3, 2e-3, 81) + 1 / math.sqrt(2):
+        report = concurrence(wzcm_family_clone(alpha))
+        with mpmath.workdps(40):
+            a = mpmath.mpf(float(alpha))
+            b = mpmath.sqrt(1 - a * a)
+            lambda2 = float((a - b) ** 2 / 2)
+            c = float(2 * a * b)
+        assert abs(report.lambdas[1] - lambda2) <= 1e-14, alpha
+        assert abs(report.concurrence - c) <= 1e-14, alpha
 
 
 def test_scm_singlet_concurrence_follows_shrink_law():
