@@ -241,16 +241,6 @@ def _unit_grid(values: Sequence[float], name: str) -> np.ndarray:
     return grid
 
 
-def avg_entanglement_acm(alpha: float, params: ShrinkParams) -> float:
-    """Mean entanglement of formation of the two asymmetric-cloner copies.
-
-    Raises ConstraintViolatedError outside the allowed (s1, s2) region;
-    the degenerate endpoints are allowed and simply evaluated.
-    """
-    _require_region(params.s1, params.s2)
-    return float(0.5 * (family_eof(alpha, params.s1) + family_eof(alpha, params.s2)))
-
-
 def entanglement_curve(
     machine: str,
     grid: Sequence[float],

@@ -26,9 +26,6 @@ from .states import BELL_MATRIX, density_of, psi_minus_family, to_bell_basis
 CONSTRAINT_SLACK = 1e-12
 #: |s - endpoint| below which a shrink pair counts as a degenerate endpoint.
 DEGENERACY_TOL = 1e-12
-#: discriminants of the boundary curve may dip this far below zero
-#: through float drift before being an error.
-DISCRIMINANT_TOL = 1e-12
 
 BRANCHES = ("upper", "lower")
 
@@ -46,13 +43,6 @@ _WZCM_ISOMETRY = np.stack(
 
 class ConstraintViolatedError(ValueError):
     """Raised when a shrink-factor pair falls outside the allowed region."""
-
-
-class NegativeDiscriminantError(ArithmeticError):
-    """Raised when the boundary-curve discriminant is negative beyond drift.
-
-    Cannot occur for s1 in [0, 1]; it guards against corrupted input.
-    """
 
 
 @dataclass(frozen=True)
@@ -73,17 +63,9 @@ class ShrinkParams:
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {s!r}")
 
-    def constraint_value(self) -> float:
-        """4(1-s1-s2)^2 - (1-s1)(1-s2); non-positive inside the region."""
-        return acm_region_value(self.s1, self.s2)
-
-    def is_degenerate(self) -> bool:
-        """True at (1, 0) and (0, 1): one perfect copy, one maximally mixed."""
-        return acm_degenerate(self.s1, self.s2)
-
 
 def acm_region_value(s1, s2):
-    """4(1-s1-s2)^2 - (1-s1)(1-s2), elementwise over floats or arrays."""
+    """4(1-s1-s2)^2 - (1-s1)(1-s2) elementwise; non-positive inside the region."""
     u = 1.0 - s1 - s2
     return 4.0 * u * u - (1.0 - s1) * (1.0 - s2)
 
@@ -158,7 +140,7 @@ def acm_clone(state, s: float) -> np.ndarray:
 
 def acm_constraint_satisfied(params: ShrinkParams) -> bool:
     """Whether (s1, s2) lies in the allowed region (within CONSTRAINT_SLACK)."""
-    return params.constraint_value() <= CONSTRAINT_SLACK
+    return acm_region_value(params.s1, params.s2) <= CONSTRAINT_SLACK
 
 
 def acm_boundary_s2(s1, branch: str = "upper"):
@@ -168,6 +150,8 @@ def acm_boundary_s2(s1, branch: str = "upper"):
     s2 = (7(1-s1) +- sqrt(1 + 14 s1 - 15 s1^2)) / 8; ``branch`` picks the
     sign.  The upper branch runs from (0, 1) to (1, 0) through (3/5, 3/5).
     A float s1 gives a float; an array gives the array of its s2 values.
+    The discriminant (1 - s1)(1 + 15 s1) is >= 0 on [0, 1]; the clamp at 0
+    only absorbs rounding.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -175,8 +159,6 @@ def acm_boundary_s2(s1, branch: str = "upper"):
     if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError(f"s1 must lie in [0, 1], got {s1!r}")
     disc = 1.0 + 14.0 * s - 15.0 * s * s
-    if np.any(disc < -DISCRIMINANT_TOL):
-        raise NegativeDiscriminantError(f"discriminant {disc.min()!r} at s1={s1!r}")
     root = np.sqrt(np.maximum(disc, 0.0))
     if branch == "upper":
         s2 = (7.0 * (1.0 - s) + root) / 8.0

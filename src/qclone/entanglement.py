@@ -10,7 +10,8 @@ eigenvalues of rho * rho_tilde, and the entanglement of formation is
 Instead of a non-Hermitian eigensolve of rho*rho_tilde, the l_i are taken
 as the singular values of sqrt(rho) * (sigma_y x sigma_y) * sqrt(rho)*,
 whose squares are that spectrum: no eigenvalue goes under a square root,
-so a small l_i keeps an absolute error of a few eps.
+so a small l_i keeps an absolute error of a few eps.  rho must have unit
+trace: a scaled rho scales every l_i, and C would be clipped to 1 unseen.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import SQRT_ZERO_FLOOR, as_state_vector, matrix_sqrt_psd
+from .qmath import SQRT_ZERO_FLOOR, NotNormalizedError, as_state_vector, matrix_sqrt_psd
 
+#: trace of a density matrix must match 1 within this.
+TRACE_TOL = 1e-10
 #: entries outside the diagonal and anti-diagonal must stay below this for
 #: the closed-form X-state route to apply.
 XSTATE_TOL = 1e-12
@@ -78,23 +81,21 @@ def eof_from_concurrence(c: float) -> float:
     return ((y - 1.0) * math.log1p(-y) - y * math.log(y)) / math.log(2.0)
 
 
-def spin_flip(rho) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    m = np.asarray(rho, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    return SIGMA_Y_PAIR @ m.conj() @ SIGMA_Y_PAIR
-
-
 def concurrence(rho) -> EntanglementReport:
     """Concurrence and entanglement of formation of a two-qubit state.
 
     Reads the l_i off as the singular values of
     R * (sigma_y x sigma_y) * R* with R = sqrt(rho), and sets to 0 every l_i
     and a C at or below SQRT_ZERO_FLOOR * l1, the size of their rounding
-    error.  matrix_sqrt_psd raises NotPSDError on a non-PSD rho.
+    error.  matrix_sqrt_psd raises NotPSDError on a non-PSD rho, and a
+    trace off 1 by more than TRACE_TOL raises NotNormalizedError.
     """
     root = matrix_sqrt_psd(rho)
+    # tr rho = |R|_F^2 up to the eigenvalues below 1e-10 that the root sets
+    # to 0; one dot product costs a third of np.trace on rho
+    trace = float(np.vdot(root, root).real)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise NotNormalizedError(f"density matrix trace {trace!r} differs from 1")
     l = np.linalg.svd(root @ SIGMA_Y_PAIR @ root.conj(), compute_uv=False)
     floor = SQRT_ZERO_FLOOR * l[0]
     lams = tuple(np.where(l > floor, l, 0.0).tolist())
@@ -104,7 +105,6 @@ def concurrence(rho) -> EntanglementReport:
         concurrence=c,
         eof=eof_from_concurrence(c),
         lambdas=lams,
-        method="generic",
     )
 
 

@@ -57,7 +57,7 @@ class NotPSDError(ValueError):
 
 
 class NotNormalizedError(ValueError):
-    """Raised when a state vector's norm differs from 1 beyond tolerance."""
+    """Raised when a state vector's norm or a density matrix's trace differs from 1."""
 
 
 class EigenConvergenceError(RuntimeError):

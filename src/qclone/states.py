@@ -1,4 +1,4 @@
-"""Two-qubit state constructors: Bell basis, parameterized entangled families.
+"""Two-qubit state constructors: Bell basis and the psi-minus family.
 
 Computational basis order is fixed as (|00>, |01>, |10>, |11>); the Bell
 basis order is fixed as (phi_plus, phi_minus, psi_plus, psi_minus).
@@ -10,20 +10,13 @@ import math
 
 import numpy as np
 
-from .qmath import HERMITICITY_TOL, as_state_vector, hermitian_eigen
+from .qmath import as_state_vector
 
-BASIS_ORDER = ("00", "01", "10", "11")
 BELL_ORDER = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
-
-#: trace of a density matrix must match 1 within this.
-TRACE_TOL = 1e-10
-#: density-matrix eigenvalues may dip this far below zero before the
-#: matrix stops counting as a state.
-DENSITY_EIG_FLOOR = -1e-9
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: rows are the four Bell vectors in BELL_ORDER over BASIS_ORDER.
+#: rows are the four Bell vectors in BELL_ORDER over the computational basis.
 BELL_MATRIX = np.array(
     [
         [1.0, 0.0, 0.0, 1.0],
@@ -48,33 +41,15 @@ def bell_state(which: str) -> np.ndarray:
     return BELL_MATRIX[BELL_ORDER.index(which)].copy()
 
 
-def bell_family(which: str, alpha: float) -> np.ndarray:
-    """Parameterized entangled family through one Bell state.
+def psi_minus_family(alpha: float) -> np.ndarray:
+    """alpha|01> - sqrt(1-alpha^2)|10>, the family all sweeps are built on.
 
-    For beta = sqrt(1 - alpha^2):
-
-    phi_plus  -> alpha|00> + beta|11>      phi_minus -> alpha|00> - beta|11>
-    psi_plus  -> alpha|01> + beta|10>      psi_minus -> alpha|01> - beta|10>
-
-    alpha must lie in [0, 1]; alpha = 1/sqrt(2) recovers the Bell state.
+    alpha must lie in [0, 1]; alpha = 1/sqrt(2) gives the psi_minus Bell state.
     """
-    if which not in BELL_ORDER:
-        raise ValueError(f"which must be one of {BELL_ORDER}, got {which!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     beta = math.sqrt(1.0 - alpha * alpha)
-    if which == "phi_plus":
-        return np.array([alpha, 0.0, 0.0, beta], dtype=np.complex128)
-    if which == "phi_minus":
-        return np.array([alpha, 0.0, 0.0, -beta], dtype=np.complex128)
-    if which == "psi_plus":
-        return np.array([0.0, alpha, beta, 0.0], dtype=np.complex128)
     return np.array([0.0, alpha, -beta, 0.0], dtype=np.complex128)
-
-
-def psi_minus_family(alpha: float) -> np.ndarray:
-    """alpha|01> - sqrt(1-alpha^2)|10>, the family all sweeps are built on."""
-    return bell_family("psi_minus", alpha)
 
 
 def to_bell_basis(state) -> np.ndarray:
@@ -83,33 +58,8 @@ def to_bell_basis(state) -> np.ndarray:
     return BELL_MATRIX.conj() @ v
 
 
-def from_bell_basis(coeffs) -> np.ndarray:
-    """Computational-basis vector from normalized Bell-basis amplitudes."""
-    c = as_state_vector(coeffs, 4)
-    return BELL_MATRIX.T @ c
-
-
 def density_of(state) -> np.ndarray:
     """Rank-1 projector |state><state| of a normalized pure state."""
     v = as_state_vector(state, 4)
     return np.outer(v, v.conj())
 
-
-def assert_density_matrix(rho: np.ndarray, *, check_psd: bool = True) -> None:
-    """Raise ValueError unless rho is a valid two-qubit density matrix.
-
-    Checks Hermiticity (HERMITICITY_TOL), unit trace (TRACE_TOL) and,
-    optionally, eigenvalues >= DENSITY_EIG_FLOOR.
-    """
-    m = np.asarray(rho, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if float(np.abs(m - m.conj().T).max()) > HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1")
-    if check_psd:
-        values, _ = hermitian_eigen(m)
-        if values[-1] < DENSITY_EIG_FLOOR:
-            raise ValueError(f"density matrix eigenvalue {values[-1]!r} below floor")

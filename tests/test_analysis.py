@@ -19,7 +19,6 @@ from qclone.analysis import (
     acm_alpha_surface,
     acm_curve_sweep,
     acm_region_grid,
-    avg_entanglement_acm,
     entanglement_curve,
     family_eof,
     family_mean,
@@ -35,6 +34,7 @@ from qclone.cloners import (
     acm_clone,
     acm_clone_closed,
     acm_constraint_satisfied,
+    acm_degenerate,
     scm_shrink_factor,
     wzcm_family_clone,
 )
@@ -149,24 +149,29 @@ def test_entanglement_curve_validation():
         entanglement_curve("wzcm", [0.0, 1.5])
 
 
-def test_avg_entanglement_acm_is_symmetric_in_the_two_shrinks():
+def acm_average(alpha, params):
+    """Two-copy average EoF of the asymmetric cloner at one alpha."""
+    return float(entanglement_curve("acm", [alpha], params).columns[1][0])
+
+
+def test_acm_entanglement_curve_is_symmetric_in_the_two_shrinks():
     for s1, s2 in ((0.8, 0.3), (0.55, 0.55), (1.0, 0.0)):
-        a = avg_entanglement_acm(0.6, ShrinkParams(s1, s2))
-        b = avg_entanglement_acm(0.6, ShrinkParams(s2, s1))
+        a = acm_average(0.6, ShrinkParams(s1, s2))
+        b = acm_average(0.6, ShrinkParams(s2, s1))
         assert abs(a - b) < 1e-14
 
 
-def test_avg_entanglement_acm_rejects_points_outside_region():
+def test_acm_entanglement_curve_rejects_points_outside_region():
     with pytest.raises(ConstraintViolatedError):
-        avg_entanglement_acm(0.5, ShrinkParams(0.9, 0.9))
+        acm_average(0.5, ShrinkParams(0.9, 0.9))
 
 
-def test_avg_entanglement_acm_reference_values():
+def test_acm_entanglement_curve_reference_values():
     singlet = 1 / math.sqrt(2)
-    assert abs(avg_entanglement_acm(singlet, ShrinkParams(1.0, 0.0)) - 0.5) < 1e-12
-    assert abs(avg_entanglement_acm(singlet, ShrinkParams(3 / 5, 3 / 5)) - 0.25022) < 1e-4
+    assert abs(acm_average(singlet, ShrinkParams(1.0, 0.0)) - 0.5) < 1e-12
+    assert abs(acm_average(singlet, ShrinkParams(3 / 5, 3 / 5)) - 0.25022) < 1e-4
     for params in (ShrinkParams(1.0, 0.0), ShrinkParams(0.5, 0.5)):
-        assert avg_entanglement_acm(1.0, params) == 0.0  # product input stays separable
+        assert acm_average(1.0, params) == 0.0  # product input stays separable
 
 
 def test_mean_entanglement_reference_values():
@@ -377,18 +382,18 @@ def test_scalar_routes_match_the_kernel():
     for alpha in (0.0, 0.3, SINGLET, 0.9, 1.0):
         for s1, s2 in ((1.0, 0.0), (0.8, 0.3), (0.6, 0.6)):
             want = 0.5 * (family_eof(alpha, s1) + family_eof(alpha, s2))
-            got = avg_entanglement_acm(alpha, ShrinkParams(s1, s2))
+            got = acm_average(alpha, ShrinkParams(s1, s2))
             assert abs(got - want) <= 1e-15
 
 
 def test_region_grid_sides_match_shrink_params():
     # membership and flags are array expressions; they must agree with the
-    # per-pair ShrinkParams answers everywhere, the region edge included
+    # per-pair scalar answers everywhere, the region edge included
     for resolution in (41, 61):
         for s1, s2, value, flag in acm_region_grid(resolution, 0.7).iter_flat():
             params = ShrinkParams(s1, s2)
             assert (value is not None) == acm_constraint_satisfied(params), (s1, s2)
-            assert flag is params.is_degenerate(), (s1, s2)
+            assert flag is acm_degenerate(s1, s2), (s1, s2)
 
 
 def test_boundary_sweeps_match_per_point_answers():
@@ -399,8 +404,8 @@ def test_boundary_sweeps_match_per_point_answers():
         for (s1, s2, value, flag), (_, _, s2b, value_b, flag_b) in zip(rows, surface):
             params = ShrinkParams(s1, min(max(acm_boundary_s2(s1, branch), 0.0), 1.0))
             assert s2 == s2b == params.s2
-            assert flag is flag_b is params.is_degenerate()
-            assert abs(value - avg_entanglement_acm(0.65, params)) <= 1e-15
+            assert flag is flag_b is acm_degenerate(s1, params.s2)
+            assert abs(value - acm_average(0.65, params)) <= 1e-15
             assert value == value_b
 
 

@@ -27,12 +27,13 @@ from qclone.qmath import partial_trace
 from qclone.states import (
     BELL_MATRIX,
     BELL_ORDER,
-    assert_density_matrix,
     bell_state,
     density_of,
     psi_minus_family,
     to_bell_basis,
 )
+
+from density_check import assert_density_matrix
 
 ALPHAS = np.linspace(0.0, 1.0, 101)
 SHRINKS = np.linspace(0.0, 1.0, 21)
@@ -165,23 +166,28 @@ def test_shrink_params_validation_and_constraint():
         ShrinkParams(0.5, 1.01)
     p = ShrinkParams(0.5, 0.5)
     # 4(1-s1-s2)^2 - (1-s1)(1-s2) at the symmetric midpoint
-    assert abs(p.constraint_value() - (-0.25)) < 1e-15
+    assert abs(acm_region_value(p.s1, p.s2) - (-0.25)) < 1e-15
     assert acm_constraint_satisfied(p)
     assert not acm_constraint_satisfied(ShrinkParams(0.9, 0.9))
     assert not acm_constraint_satisfied(ShrinkParams(0.0, 0.0))
 
 
 def test_degenerate_endpoints():
-    assert ShrinkParams(1.0, 0.0).is_degenerate()
-    assert ShrinkParams(0.0, 1.0).is_degenerate()
-    assert not ShrinkParams(0.6, 0.6).is_degenerate()
+    assert acm_degenerate(1.0, 0.0)
+    assert acm_degenerate(0.0, 1.0)
+    assert not acm_degenerate(0.6, 0.6)
     # the endpoints still satisfy the region constraint
     assert acm_constraint_satisfied(ShrinkParams(1.0, 0.0))
     assert acm_constraint_satisfied(ShrinkParams(0.0, 1.0))
 
 
 def test_boundary_points_satisfy_constraint():
-    for s1 in np.linspace(0.0, 1.0, 101):
+    # the floats just below 1, where the discriminant (1 - s1)(1 + 15 s1)
+    # is a few eps and its rounding error of the same size
+    near_one = [1.0]
+    for _ in range(8):
+        near_one.append(float(np.nextafter(near_one[-1], 0.0)))
+    for s1 in [*np.linspace(0.0, 1.0, 101).tolist(), *near_one[1:]]:
         for branch in ("upper", "lower"):
             s2 = acm_boundary_s2(s1, branch)
             u = 1.0 - s1 - s2
@@ -220,8 +226,8 @@ def test_boundary_and_region_answer_arrays_elementwise():
     values = acm_region_value(s1, s2)
     flags = acm_degenerate(s1, s2)
     for a, b, v, f in zip(s1.tolist(), s2.tolist(), values.tolist(), flags.tolist()):
-        assert v == ShrinkParams(a, b).constraint_value()
-        assert f is ShrinkParams(a, b).is_degenerate()
+        assert v == acm_region_value(a, b)
+        assert f is acm_degenerate(a, b)
     with pytest.raises(ValueError):
         acm_boundary_s2(np.array([0.2, 1.3]), "upper")
     with pytest.raises(ValueError):

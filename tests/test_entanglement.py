@@ -28,8 +28,8 @@ from qclone.entanglement import (
     concurrence_xstate,
     eof_from_concurrence,
     fidelity,
-    spin_flip,
 )
+from qclone.qmath import NotNormalizedError
 from qclone.states import density_of, psi_minus_family
 
 
@@ -91,23 +91,6 @@ def test_eof_monotone_in_concurrence():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_spin_flip_is_an_involution():
-    rng = np.random.default_rng(61)
-    for _ in range(50):
-        rho = random_density(rng)
-        assert np.max(np.abs(spin_flip(spin_flip(rho)) - rho)) < 1e-13
-
-
-def test_spin_flip_reference_points():
-    singlet = density_of(psi_minus_family(1 / math.sqrt(2)))
-    assert np.max(np.abs(spin_flip(singlet) - singlet)) < 1e-15
-    mixed = np.eye(4, dtype=np.complex128) / 4.0
-    assert np.array_equal(spin_flip(mixed), mixed)
-    zero_pair = np.diag([1.0, 0, 0, 0]).astype(np.complex128)
-    ones_pair = np.diag([0, 0, 0, 1.0]).astype(np.complex128)
-    assert np.array_equal(spin_flip(zero_pair), ones_pair)
-
-
 def test_pure_state_concurrence_law():
     rng = np.random.default_rng(62)
     for _ in range(1000):
@@ -133,7 +116,7 @@ def test_lambda_trace_identity():
         for _ in range(100):
             rho = random_density(rng, rank)
             report = concurrence(rho)
-            trace = np.trace(rho @ spin_flip(rho)).real
+            trace = np.trace(rho @ SIGMA_Y_PAIR @ rho.conj() @ SIGMA_Y_PAIR).real
             assert abs(sum(l * l for l in report.lambdas) - trace) < 1e-9
 
 
@@ -282,6 +265,18 @@ def test_concurrence_of_bell_projector_is_one():
     assert abs(concurrence(rho).concurrence - 1.0) < 1e-12
 
 
+def test_concurrence_rejects_a_trace_off_one():
+    # scaling rho scales every l_i: at trace 3 this C of 0.850 would clip to 1
+    alpha, s = 0.7, 0.9
+    rho = acm_clone(psi_minus_family(alpha), s)
+    want = 2 * s * alpha * math.sqrt(1 - alpha * alpha) - (1 - s) / 2
+    assert abs(concurrence(rho).concurrence - want) < 1e-12
+    for scale in (3.0, 0.5, 1.0 + 1e-9):
+        with pytest.raises(NotNormalizedError):
+            concurrence(scale * rho)
+    assert abs(concurrence((1.0 + 1e-11) * rho).concurrence - want) < 1e-10
+
+
 def test_xstate_detection():
     bad = np.eye(4, dtype=np.complex128) / 4.0
     bad[0, 1] = 0.05
@@ -306,8 +301,6 @@ def test_fidelity_of_two_copy_scm_is_seven_tenths_for_any_input():
 
 
 def test_fidelity_rejects_unnormalized_reference():
-    from qclone.qmath import NotNormalizedError
-
     with pytest.raises(NotNormalizedError):
         fidelity(np.array([1.0, 1.0, 0.0, 0.0]), np.eye(4, dtype=np.complex128) / 4.0)
 
