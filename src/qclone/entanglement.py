@@ -8,10 +8,12 @@ eigenvalues of rho * rho_tilde, and the entanglement of formation is
     E = h((1 + sqrt(1 - C^2)) / 2),    h(x) = -x log2 x - (1-x) log2 (1-x).
 
 Instead of a non-Hermitian eigensolve of rho*rho_tilde, the l_i are taken
-as the singular values of sqrt(rho) * (sigma_y x sigma_y) * sqrt(rho)*,
-whose squares are that spectrum: no eigenvalue goes under a square root,
-so a small l_i keeps an absolute error of a few eps.  rho must have unit
-trace: a scaled rho scales every l_i, and C would be clipped to 1 unseen.
+as the singular values of F^T Y F, with Y = sigma_y x sigma_y and
+F = V sqrt(w) the eigen-factor of rho (F F^dag = rho): sqrt(rho) Y sqrt(rho)*
+= V conj(F^T Y F) V^T has the same singular values, whose squares are that
+spectrum.  No eigenvalue goes under a square root, so a small l_i keeps an
+absolute error of a few eps.  rho must have unit trace: a scaled rho scales
+every l_i, and C would be clipped to 1 unseen.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import SQRT_ZERO_FLOOR, NotNormalizedError, as_state_vector, matrix_sqrt_psd
+from .qmath import SQRT_ZERO_FLOOR, NotNormalizedError, _as_matrix4, as_state_vector, psd_factor
 
 #: trace of a density matrix must match 1 within this.
 TRACE_TOL = 1e-10
@@ -65,6 +67,11 @@ class EntanglementReport:
     method: str = "generic"
 
 
+def _check_trace(trace: float) -> None:
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise NotNormalizedError(f"density matrix trace {trace!r} differs from 1")
+
+
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation as a function of concurrence.
 
@@ -85,20 +92,18 @@ def concurrence(rho) -> EntanglementReport:
     """Concurrence and entanglement of formation of a two-qubit state.
 
     Reads the l_i off as the singular values of
-    R * (sigma_y x sigma_y) * R* with R = sqrt(rho), and sets to 0 every l_i
-    and a C at or below SQRT_ZERO_FLOOR * l1, the size of their rounding
-    error.  matrix_sqrt_psd raises NotPSDError on a non-PSD rho, and a
+    F^T * (sigma_y x sigma_y) * F with F = psd_factor(rho), and sets to 0
+    every l_i and a C at or below SQRT_ZERO_FLOOR * l1, the size of their
+    rounding error.  psd_factor raises NotPSDError on a non-PSD rho, and a
     trace off 1 by more than TRACE_TOL raises NotNormalizedError.
     """
-    root = matrix_sqrt_psd(rho)
-    # tr rho = |R|_F^2 up to the eigenvalues below 1e-10 that the root sets
-    # to 0; one dot product costs a third of np.trace on rho
-    trace = float(np.vdot(root, root).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise NotNormalizedError(f"density matrix trace {trace!r} differs from 1")
-    l = np.linalg.svd(root @ SIGMA_Y_PAIR @ root.conj(), compute_uv=False)
+    factor = psd_factor(rho)
+    # tr rho = |F|_F^2 up to the eigenvalues below 1e-10 that the factor
+    # sets to 0; one dot product costs a third of np.trace on rho
+    _check_trace(float(np.vdot(factor, factor).real))
+    l = np.linalg.svd(factor.T @ SIGMA_Y_PAIR @ factor, compute_uv=False).tolist()
     floor = SQRT_ZERO_FLOOR * l[0]
-    lams = tuple(np.where(l > floor, l, 0.0).tolist())
+    lams = tuple(x if x > floor else 0.0 for x in l)
     c = lams[0] - lams[1] - lams[2] - lams[3]
     c = min(c, 1.0) if c > floor else 0.0
     return EntanglementReport(
@@ -113,11 +118,11 @@ def concurrence_xstate(rho) -> float:
 
     2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22))
     with indices over (|00>, |01>, |10>, |11>).  Raises NotXStateError when
-    any off-pattern entry reaches XSTATE_TOL.
+    any off-pattern entry reaches XSTATE_TOL, and NotNormalizedError when
+    the trace is off 1 by more than TRACE_TOL.
     """
-    m = np.asarray(rho, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = _as_matrix4(rho)
+    _check_trace(float(m.trace().real))
     for i in range(4):
         for j in range(4):
             if (i, j) not in _X_PATTERN and abs(m[i, j]) >= XSTATE_TOL:
@@ -129,11 +134,10 @@ def concurrence_xstate(rho) -> float:
 
 
 def fidelity(reference, rho) -> float:
-    """<psi|rho|psi> for a normalized reference pure state, clamped to [0, 1]."""
+    """<psi|rho|psi> for a normalized reference and a unit-trace rho, clamped to [0, 1]."""
     v = as_state_vector(reference, 4)
-    m = np.asarray(rho, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = _as_matrix4(rho)
+    _check_trace(float(m.trace().real))
     value = complex(np.vdot(v, m @ v))
     if abs(value.imag) >= IMAG_TOL:
         raise ArithmeticError(f"fidelity came out non-real: {value!r}")

@@ -11,8 +11,8 @@ Conventions shared by the whole package:
 
 Eigensolves go to LAPACK through numpy's ``eigh``.  Its zero eigenvalues
 come back as noise of a few eps times max|eigenvalue|, of either sign, so
-:func:`matrix_sqrt_psd` sets every eigenvalue at or below SQRT_ZERO_FLOOR
-times max|eigenvalue| to 0 before the square root: the root of a
+:func:`psd_factor` sets every eigenvalue at or below SQRT_ZERO_FLOOR
+times max|eigenvalue| to 0 before the square root: the factor of a
 rank-deficient matrix then has no ~1e-8 component off its range.
 
 Everything here is a pure function; nothing keeps state between calls.
@@ -31,11 +31,11 @@ NORMALIZATION_TOL = 1e-9
 #: eigenvalues in (-EIG_ROUNDOFF_NEG, 0) count as roundoff zeros; anything
 #: more negative is a genuine violation, not noise.
 EIG_ROUNDOFF_NEG = 1e-10
-#: guaranteed residual of matrix_sqrt_psd: max entry of |B@B - a|.
+#: guaranteed residual of psd_factor: max entry of |F@F^dag - a|.
 SQRT_RESIDUAL_TOL = 1e-9
 #: eigenvalues at or below this multiple of max|eigenvalue| are eigh's
 #: backward-error noise on a zero eigenvalue (measured up to 2.7 eps on
-#: rank-deficient densities); matrix_sqrt_psd treats them as exact zeros.
+#: rank-deficient densities); psd_factor treats them as exact zeros.
 #: entanglement.concurrence applies the same multiple of l1 to the l_i and
 #: to C, whose rounding errors are of that size.
 SQRT_ZERO_FLOOR = 16.0 * np.finfo(np.float64).eps
@@ -107,31 +107,29 @@ def hermitian_eigen(a) -> EigenResult:
     EigenConvergenceError if LAPACK reports that the solve did not converge.
     """
     m = _as_matrix4(a)
-    if float(np.abs(m - m.conj().T).max()) > HERMITICITY_TOL:
+    skew = m - m.conj().T
+    if float(np.abs(skew).max()) > HERMITICITY_TOL:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     try:
-        values, vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+        values, vectors = np.linalg.eigh(m - 0.5 * skew)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"Hermitian eigensolve failed: {exc}") from exc
     return EigenResult(values[::-1], vectors[:, ::-1])
 
 
-def matrix_sqrt_psd(a) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix.
+def psd_factor(a) -> np.ndarray:
+    """Eigen-factor F = V sqrt(w) of a PSD Hermitian matrix, so F F^dag = a.
 
     Eigenvalues in (-EIG_ROUNDOFF_NEG, SQRT_ZERO_FLOOR * max|eigenvalue|]
     are set to zero before the square root; anything below
     -EIG_ROUNDOFF_NEG raises NotPSDError.
     """
     values, vectors = hermitian_eigen(a)
-    if values[-1] < -EIG_ROUNDOFF_NEG:
-        raise NotPSDError(
-            f"eigenvalue {values[-1]!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor"
-        )
-    floor = SQRT_ZERO_FLOOR * max(values[0], -values[-1])
-    roots = np.sqrt(np.where(values > floor, values, 0.0))
-    b = (vectors * roots) @ vectors.conj().T
-    return 0.5 * (b + b.conj().T)
+    low = float(values[-1])
+    if low < -EIG_ROUNDOFF_NEG:
+        raise NotPSDError(f"eigenvalue {low!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor")
+    floor = SQRT_ZERO_FLOOR * max(values[0], -low)
+    return vectors * np.sqrt(np.where(values > floor, values, 0.0))
 
 
 _TRACE_SUBSCRIPTS = {

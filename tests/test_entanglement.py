@@ -1,10 +1,11 @@
 """Concurrence and entanglement of formation against independent oracles.
 
-The generic pipeline (PSD square root, singular values of
-sqrt(rho) (sigma_y x sigma_y) sqrt(rho)*) is cross-checked three ways: the
-closed-form X-state expression, the pure-state law
-C = |<psi|sigma_y x sigma_y|psi*>|, and the trace identity
-sum(l_i^2) = tr(rho rho~); next to the singlet, against mpmath.
+The generic pipeline (PSD eigen-factor F = V sqrt(w), singular values of
+F^T (sigma_y x sigma_y) F) is cross-checked three ways: the closed-form
+X-state expression, the pure-state law C = |<psi|sigma_y x sigma_y|psi*>|,
+and the trace identity sum(l_i^2) = tr(rho rho~); against mpmath, next to
+the singlet and as the singular values of the principal root's
+sqrt(rho) (sigma_y x sigma_y) sqrt(rho)* at 30 digits.
 """
 
 import math
@@ -29,7 +30,7 @@ from qclone.entanglement import (
     eof_from_concurrence,
     fidelity,
 )
-from qclone.qmath import NotNormalizedError
+from qclone.qmath import NotHermitianError, NotNormalizedError, NotPSDError
 from qclone.states import density_of, psi_minus_family
 
 
@@ -126,6 +127,31 @@ def test_lambdas_sorted_and_nonnegative():
         report = concurrence(random_density(rng))
         assert all(a >= b for a, b in zip(report.lambdas, report.lambdas[1:]))
         assert report.lambdas[-1] >= 0.0
+
+
+def test_lambdas_match_mpmath_principal_root_oracle():
+    # l_i at 30 digits as the singular values of R Y conj(R), R = sqrt(rho)
+    # the principal root, which shares neither the eigen-factor nor LAPACK
+    # with the code.  rho = G G^dag / tr is built in mpmath, so it has exact
+    # rank r; mpmath's sqrtm iterates on an inverse and does not converge on
+    # a singular rho, so R comes from mpmath's Hermitian eigensolver.
+    rng = np.random.default_rng(4180)
+    y = mpmath.matrix(SIGMA_Y_PAIR.real.tolist())
+    for rank in (1, 2, 3, 4):
+        for _ in range(10):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            with mpmath.workdps(30):
+                gm = mpmath.matrix(g.tolist())
+                rho = gm * gm.transpose_conj()
+                rho /= sum(rho[i, i] for i in range(4)).real
+                values, vectors = mpmath.eighe(rho)
+                roots = mpmath.diag([mpmath.sqrt(w) if w > 1e-25 else 0 for w in values])
+                root = vectors * roots * vectors.transpose_conj()
+                sv = mpmath.svd_c(root * y * root.conjugate(), compute_uv=False)
+                want = sorted((float(x) for x in sv), reverse=True)
+                rho = np.array(rho.tolist(), dtype=np.complex128)
+            got = concurrence(rho).lambdas
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13, (rank, got, want)
 
 
 def test_local_unitary_invariance():
@@ -277,6 +303,37 @@ def test_concurrence_rejects_a_trace_off_one():
     assert abs(concurrence((1.0 + 1e-11) * rho).concurrence - want) < 1e-10
 
 
+def test_concurrence_rejects_non_hermitian_indefinite_and_nan_input():
+    rho = acm_clone(psi_minus_family(0.7), 0.9)
+    skewed = rho.copy()
+    skewed[0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        concurrence(skewed)
+    # Werner state at p = 1.1376: eigenvalues (1 - p)/4 = -0.0344 (three
+    # times) and (1 + 3p)/4, trace 1; the message prints a plain float
+    p = 1.1376
+    werner = p * density_of(psi_minus_family(1 / math.sqrt(2))) + (1 - p) / 4 * np.eye(4)
+    message = r"^eigenvalue -0\.034\d+ below the -1e-10 roundoff floor$"
+    with pytest.raises(NotPSDError, match=message):
+        concurrence(werner)
+    poisoned = rho.copy()
+    poisoned[2, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        concurrence(poisoned)
+
+
+def test_xstate_concurrence_rejects_a_trace_off_one():
+    # at trace 3 the closed form read C = 2.549, a concurrence above 1
+    alpha, s = 0.7, 0.9
+    rho = acm_clone(psi_minus_family(alpha), s)
+    want = 2 * s * alpha * math.sqrt(1 - alpha * alpha) - (1 - s) / 2
+    assert abs(concurrence_xstate(rho) - want) < 1e-12
+    for scale in (3.0, 0.5, 1.0 + 1e-9):
+        with pytest.raises(NotNormalizedError):
+            concurrence_xstate(scale * rho)
+    assert abs(concurrence_xstate((1.0 + 1e-11) * rho) - want) < 1e-10
+
+
 def test_xstate_detection():
     bad = np.eye(4, dtype=np.complex128) / 4.0
     bad[0, 1] = 0.05
@@ -303,6 +360,17 @@ def test_fidelity_of_two_copy_scm_is_seven_tenths_for_any_input():
 def test_fidelity_rejects_unnormalized_reference():
     with pytest.raises(NotNormalizedError):
         fidelity(np.array([1.0, 1.0, 0.0, 0.0]), np.eye(4, dtype=np.complex128) / 4.0)
+
+
+def test_fidelity_rejects_a_trace_off_one():
+    # F = s + (1 - s)/4 = 0.925; at trace 3 it read 3 * 0.925, clamped to 1
+    state = psi_minus_family(0.7)
+    rho = acm_clone(state, 0.9)
+    assert abs(fidelity(state, rho) - 0.925) < 1e-14
+    for scale in (3.0, 0.5):
+        with pytest.raises(NotNormalizedError):
+            fidelity(state, scale * rho)
+    assert abs(fidelity(state, (1.0 + 1e-11) * rho) - 0.925) < 1e-10
 
 
 def test_fidelity_stays_in_unit_interval():

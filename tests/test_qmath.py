@@ -1,4 +1,4 @@
-"""Eigensolver, PSD square root and partial trace against numpy and mpmath oracles."""
+"""Eigensolver, PSD eigen-factor and partial trace against numpy and mpmath oracles."""
 
 import mpmath
 import numpy as np
@@ -12,8 +12,8 @@ from qclone.qmath import (
     SQRT_RESIDUAL_TOL,
     as_state_vector,
     hermitian_eigen,
-    matrix_sqrt_psd,
     partial_trace,
+    psd_factor,
 )
 
 
@@ -59,7 +59,7 @@ def test_eigen_raises_when_eigh_fails(monkeypatch):
     with pytest.raises(EigenConvergenceError, match="did not converge"):
         hermitian_eigen(a)
     with pytest.raises(EigenConvergenceError):
-        matrix_sqrt_psd(np.eye(4, dtype=np.complex128))
+        psd_factor(np.eye(4, dtype=np.complex128))
 
 
 def test_eigen_reconstruction_and_unitarity():
@@ -134,39 +134,52 @@ def test_eigen_rejects_wrong_shape_and_nonfinite():
 
 
 def test_sqrt_squares_back():
+    # F F^dag = rho, and F's columns are orthogonal: F^dag F = diag(w)
     rng = np.random.default_rng(21)
     for rank in (1, 2, 3, 4):
         for _ in range(100):
             rho = random_density(rng, rank)
-            root = matrix_sqrt_psd(rho)
-            assert np.max(np.abs(root @ root - rho)) < SQRT_RESIDUAL_TOL
-            assert np.max(np.abs(root - root.conj().T)) == 0.0
+            factor = psd_factor(rho)
+            assert np.max(np.abs(factor @ factor.conj().T - rho)) < SQRT_RESIDUAL_TOL
+            gram = factor.conj().T @ factor
+            assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-14
 
 
-def test_sqrt_of_projector_is_projector():
+def test_sqrt_of_projector_is_its_unit_vector():
+    # the factor of |v><v| is v, up to a phase, in its first column and 0 elsewhere
     v = np.array([0.5, 0.5j, -0.5, 0.5]).astype(np.complex128)
     p = np.outer(v, v.conj())
-    assert np.max(np.abs(matrix_sqrt_psd(p) - p)) < 1e-13
+    factor = psd_factor(p)
+    assert np.max(np.abs(factor @ factor.conj().T - p)) < 1e-13
+    assert abs(abs(np.vdot(v, factor[:, 0])) - 1.0) < 1e-13
+    assert np.all(factor[:, 1:] == 0.0)
 
 
 def test_sqrt_reference_values():
-    assert np.max(np.abs(matrix_sqrt_psd(np.eye(4, dtype=np.complex128)) - np.eye(4))) < 1e-14
+    eye = np.eye(4, dtype=np.complex128)
+    factor = psd_factor(eye)
+    assert np.max(np.abs(factor @ factor.conj().T - eye)) < 1e-14
+    assert np.max(np.abs(factor.conj().T @ factor - eye)) < 1e-14
+    # eigenvalues 9, 4, 1, 0 (over 14) on basis vectors 3, 0, 1, 2
     a = np.diag([4.0, 1.0, 0.0, 9.0]).astype(np.complex128) / 14.0
-    want = np.diag([2.0, 1.0, 0.0, 3.0]) / np.sqrt(14.0)
-    assert np.max(np.abs(matrix_sqrt_psd(a) - want)) < 1e-14
+    want = np.zeros((4, 4))
+    want[3, 0], want[0, 1], want[1, 2] = 3.0, 2.0, 1.0
+    assert np.max(np.abs(np.abs(psd_factor(a)) - want / np.sqrt(14.0))) < 1e-14
 
 
 def test_sqrt_rejects_indefinite():
+    # the message prints the eigenvalue as a plain float
     a = np.diag([1.0, 1.0, 1.0, -0.1]).astype(np.complex128)
-    with pytest.raises(NotPSDError):
-        matrix_sqrt_psd(a)
+    with pytest.raises(NotPSDError, match=r"^eigenvalue -0\.1 below the -1e-10 roundoff floor$"):
+        psd_factor(a)
 
 
 def test_sqrt_tolerates_eigenvalue_roundoff():
-    # a hair below zero is roundoff, not indefiniteness
+    # a hair below zero is roundoff, not indefiniteness: its column is 0
     a = np.diag([1.0, 0.5, 0.25, -1e-12]).astype(np.complex128)
-    root = matrix_sqrt_psd(a)
-    assert root[3, 3] == 0.0
+    factor = psd_factor(a)
+    assert np.all(factor[:, 3] == 0.0)
+    assert np.max(np.abs(factor @ factor.conj().T - a)) <= 1e-12
 
 
 def brute_force_reduced(vec, keep):
