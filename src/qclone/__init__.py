@@ -10,11 +10,7 @@ and the ``qclone`` console script emits them as CSV.
 """
 
 from .analysis import (
-    GRID_POINTS_DEFAULT,
-    MACHINES,
-    QUAD_DEFAULT_TOL,
     QuadratureConvergenceError,
-    QuadratureResult,
     SweepSeries,
     acm_alpha_surface,
     acm_curve_sweep,
@@ -24,17 +20,14 @@ from .analysis import (
     family_mean,
     mean_entanglement,
     mean_entanglement_acm,
-    scm_multiclone_entanglement,
     uniform_grid,
 )
 from .cloners import (
-    BRANCHES,
     ConstraintViolatedError,
     ShrinkParams,
     acm_boundary_s2,
     acm_clone,
     acm_clone_closed,
-    acm_constraint_satisfied,
     acm_degenerate,
     acm_region_value,
     scm_clone,
@@ -44,7 +37,6 @@ from .cloners import (
     wzcm_clone,
     wzcm_clone_closed,
     wzcm_family_clone,
-    wzcm_fidelity,
     wzcm_full_output,
 )
 from .entanglement import (
@@ -57,13 +49,9 @@ from .entanglement import (
 )
 from .qmath import (
     EigenConvergenceError,
-    EigenResult,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
-    SUBSYSTEMS,
-    as_state_vector,
-    hermitian_eigen,
     partial_trace,
 )
 from .states import (
@@ -78,33 +66,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BELL_ORDER",
-    "BRANCHES",
     "ConstraintViolatedError",
     "EigenConvergenceError",
-    "EigenResult",
     "EntanglementReport",
-    "GRID_POINTS_DEFAULT",
-    "MACHINES",
     "NotHermitianError",
     "NotNormalizedError",
     "NotPSDError",
     "NotXStateError",
-    "QUAD_DEFAULT_TOL",
     "QuadratureConvergenceError",
-    "QuadratureResult",
-    "SUBSYSTEMS",
     "ShrinkParams",
     "SweepSeries",
     "acm_alpha_surface",
     "acm_boundary_s2",
     "acm_clone",
     "acm_clone_closed",
-    "acm_constraint_satisfied",
     "acm_degenerate",
     "acm_curve_sweep",
     "acm_region_grid",
     "acm_region_value",
-    "as_state_vector",
     "bell_state",
     "concurrence",
     "concurrence_xstate",
@@ -114,14 +93,12 @@ __all__ = [
     "family_eof",
     "family_mean",
     "fidelity",
-    "hermitian_eigen",
     "mean_entanglement",
     "mean_entanglement_acm",
     "partial_trace",
     "psi_minus_family",
     "scm_clone",
     "scm_clone_closed",
-    "scm_multiclone_entanglement",
     "scm_shrink_factor",
     "shrink_map",
     "to_bell_basis",
@@ -129,7 +106,6 @@ __all__ = [
     "wzcm_clone",
     "wzcm_clone_closed",
     "wzcm_family_clone",
-    "wzcm_fidelity",
     "wzcm_full_output",
     "__version__",
 ]

@@ -32,11 +32,8 @@ from .cloners import (
     acm_boundary_s2,
     acm_degenerate,
     acm_region_value,
-    scm_clone,
     scm_shrink_factor,
 )
-from .entanglement import concurrence
-from .states import psi_minus_family
 
 #: default absolute tolerance of the quadratures.
 QUAD_DEFAULT_TOL = 1e-7
@@ -319,19 +316,6 @@ def acm_curve_sweep(
     return SweepSeries(
         axis_names=("s1", "s2", name, "degenerate"),
         columns=(s1s, s2s, values, acm_degenerate(s1s, s2s)),
-        inputs=1,
-    )
-
-
-def scm_multiclone_entanglement(alpha: float, counts: Sequence[int]) -> SweepSeries:
-    """Concurrence and entanglement of one symmetric clone per copy count."""
-    ms = sorted(set(int(m) for m in counts))
-    state = psi_minus_family(alpha)
-    reports = [concurrence(scm_clone(state, m)) for m in ms]
-    values = np.array([(r.concurrence, r.eof) for r in reports], dtype=float).reshape(-1, 2)
-    return SweepSeries(
-        axis_names=("clones", "concurrence", "eof"),
-        columns=(np.array(ms, dtype=int), values[:, 0], values[:, 1]),
         inputs=1,
     )
 

@@ -10,12 +10,14 @@ and written BLOCK_ROWS at a time, never held as one string.
 
 Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
 concurrence SVD fails to converge (the diagnostic names the failing
-computation), 2 on flag validation errors.
+computation), 2 on flag validation errors and on an --output path that
+cannot be opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -70,16 +72,19 @@ def _render(command: str, config, header: list[str], columns, missing=None) -> I
         yield row * m % tuple(cells)
 
 
-def _write(chunks: Iterator[str], path: str | None) -> None:
-    if path is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.writelines(chunks)
-
-
 class _UsageError(Exception):
     pass
+
+
+def _open_output(path: str | None):
+    """stdout, or the file at ``path`` opened for writing; an unopenable
+    path is a usage error."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="ascii", newline="\n")
+    except OSError as exc:
+        raise _UsageError(f"--output: {exc.strerror}: {path!r}") from exc
 
 
 def _machine_inputs(args) -> tuple:
@@ -118,10 +123,11 @@ def _check_grid(n: int) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    if not math.isfinite(tol):
-        raise _UsageError(f"--quad-tol must be a finite number, got {tol!r}")
-    if tol < analysis.QUAD_MIN_TOL:
-        raise _UsageError(f"--quad-tol must be at least {analysis.QUAD_MIN_TOL:g}")
+    """The library's tolerance check, its error reported as a usage error."""
+    try:
+        analysis._check_tol(tol)
+    except ValueError as exc:
+        raise _UsageError(f"--quad-tol: {exc}") from exc
 
 
 def _clone_matrix(args) -> tuple[np.ndarray, list[tuple[str, object]]]:
@@ -171,13 +177,12 @@ def _cmd_mean(args) -> Iterator[str]:
             raise _UsageError("--machine acm needs both --s1 and --s2")
         _check_unit("--s1", args.s1)
         _check_unit("--s2", args.s2)
-        params = cloners.ShrinkParams(args.s1, args.s2)
-        if not cloners.acm_constraint_satisfied(params):
-            raise _UsageError(
-                f"(s1, s2) = ({args.s1:g}, {args.s2:g}) lies outside the allowed region"
-            )
         config.extend([("s1", float(args.s1)), ("s2", float(args.s2))])
-        result = analysis.mean_entanglement_acm(params, args.quad_tol)
+        params = cloners.ShrinkParams(args.s1, args.s2)
+        try:
+            result = analysis.mean_entanglement_acm(params, args.quad_tol)
+        except cloners.ConstraintViolatedError as exc:
+            raise _UsageError(f"--s1/--s2: {exc}") from exc
     else:
         if args.s1 is not None or args.s2 is not None:
             raise _UsageError("--s1/--s2 only apply to --machine acm")
@@ -317,6 +322,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         chunks = _COMMANDS[args.command](args)
+        output = _open_output(args.output)
     except _UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
@@ -327,7 +333,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
         return 1
-    _write(chunks, args.output)
+    with output as fh:
+        fh.writelines(chunks)
     return 0
 
 

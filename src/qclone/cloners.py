@@ -49,10 +49,10 @@ class ConstraintViolatedError(ValueError):
 class ShrinkParams:
     """Shrink-factor pair (s1, s2) of the asymmetric cloner.
 
-    Construction only checks the [0, 1] bounds; whether the pair lies in
-    the allowed region is a separate question answered by
-    :func:`acm_constraint_satisfied`, so that out-of-region pairs can be
-    represented (e.g. as grid points to be marked excluded).
+    Construction only checks the [0, 1] bounds.  Region membership,
+    ``acm_region_value(s1, s2) <= CONSTRAINT_SLACK``, is checked separately,
+    so that out-of-region pairs can be represented (e.g. as grid points to
+    be marked excluded).
     """
 
     s1: float
@@ -93,13 +93,6 @@ def wzcm_clone(bell_coeffs) -> np.ndarray:
     return rho
 
 
-def wzcm_fidelity(bell_coeffs) -> float:
-    """Overlap of either clone with the input: sum_i |c_i|^4."""
-    c = as_state_vector(bell_coeffs, 4)
-    w = (c.conj() * c).real
-    return float(np.sum(w * w))
-
-
 def wzcm_full_output(bell_coeffs) -> np.ndarray:
     """Joint pure output sum_i c_i |bell_i>|bell_i>|w_i> as a 64-vector.
 
@@ -136,11 +129,6 @@ def scm_clone(state, count: int = 2) -> np.ndarray:
 def acm_clone(state, s: float) -> np.ndarray:
     """One copy of the asymmetric cloner: the input shrunk by factor s."""
     return shrink_map(density_of(state), s)
-
-
-def acm_constraint_satisfied(params: ShrinkParams) -> bool:
-    """Whether (s1, s2) lies in the allowed region (within CONSTRAINT_SLACK)."""
-    return acm_region_value(params.s1, params.s2) <= CONSTRAINT_SLACK
 
 
 def acm_boundary_s2(s1, branch: str = "upper"):

@@ -40,9 +40,6 @@ SQRT_RESIDUAL_TOL = 1e-9
 #: to C, whose rounding errors are of that size.
 SQRT_ZERO_FLOOR = 16.0 * np.finfo(np.float64).eps
 
-#: subsystem labels accepted by partial_trace, in tensor-factor order.
-SUBSYSTEMS = ("clone1", "clone2", "machine")
-
 
 class NotHermitianError(ValueError):
     """Raised when an input expected to be Hermitian is not.
@@ -146,7 +143,7 @@ def partial_trace(state, subsystem: str) -> np.ndarray:
     (pair 1) x (pair 2) x (machine); ``subsystem`` picks the factor to keep.
     """
     if subsystem not in _TRACE_SUBSCRIPTS:
-        raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
+        raise ValueError(f"subsystem must be one of {tuple(_TRACE_SUBSCRIPTS)}, got {subsystem!r}")
     v = as_state_vector(state, 64)
     t = v.reshape(4, 4, 4)
     return np.einsum(_TRACE_SUBSCRIPTS[subsystem], t, t.conj())

@@ -13,8 +13,6 @@ import numpy as np
 
 from qclone.analysis import (
     acm_curve_sweep,
-    mean_entanglement,
-    scm_multiclone_entanglement,
     uniform_grid,
 )
 from qclone.cloners import (
@@ -26,10 +24,10 @@ from qclone.cloners import (
     wzcm_clone,
     wzcm_clone_closed,
     wzcm_family_clone,
-    wzcm_fidelity,
 )
-from qclone.entanglement import SIGMA_Y_PAIR, concurrence, concurrence_xstate
+from qclone.entanglement import SIGMA_Y_PAIR, concurrence, concurrence_xstate, fidelity
 from qclone.states import (
+    BELL_MATRIX,
     BELL_ORDER,
     bell_state,
     density_of,
@@ -90,20 +88,22 @@ def test_criterion_03_wzcm_preservation():
 
 def test_criterion_04_wzcm_fidelity_extremes():
     ok = True
+    # the overlap of a clone with the input, as `qclone entangle` reports it
     for which in BELL_ORDER:
         coeffs = to_bell_basis(bell_state(which))
-        ok = ok and abs(wzcm_fidelity(coeffs) - 1.0) <= 1e-12
+        ok = ok and abs(fidelity(bell_state(which), wzcm_clone(coeffs)) - 1.0) <= 1e-12
     for bits in range(8):
         coeffs = np.array(
             [0.5, *(0.5 if bits >> i & 1 else -0.5 for i in range(3))]
         )
-        ok = ok and abs(wzcm_fidelity(coeffs) - 0.25) <= 1e-12
+        state = BELL_MATRIX.T @ coeffs
+        ok = ok and abs(fidelity(state, wzcm_clone(coeffs)) - 0.25) <= 1e-12
     _report(4, "wzcm fidelity extremes", ok)
 
 
 def test_criterion_05_clone_count_threshold():
-    series = scm_multiclone_entanglement(SINGLET_ALPHA, range(2, 9))
-    cs = {row[0]: row[1] for row in series.iter_flat()}
+    state = psi_minus_family(SINGLET_ALPHA)
+    cs = {m: concurrence(scm_clone(state, m)).concurrence for m in range(2, 9)}
     ok = all(cs[m] > 0.0 for m in (2, 3, 4, 5))
     ok = ok and all(abs(cs[m]) <= 1e-12 for m in (6, 7, 8))
     _report(5, "clone count threshold", ok)

@@ -24,17 +24,18 @@ from qclone.analysis import (
     family_mean,
     mean_entanglement,
     mean_entanglement_acm,
-    scm_multiclone_entanglement,
     uniform_grid,
 )
 from qclone.cloners import (
+    CONSTRAINT_SLACK,
     ConstraintViolatedError,
     ShrinkParams,
     acm_boundary_s2,
     acm_clone,
     acm_clone_closed,
-    acm_constraint_satisfied,
     acm_degenerate,
+    acm_region_value,
+    scm_clone,
     scm_shrink_factor,
     wzcm_family_clone,
 )
@@ -282,11 +283,8 @@ def test_mean_sweep_dips_at_the_symmetric_point():
 
 
 def test_scm_multiclone_entanglement_series():
-    series = scm_multiclone_entanglement(1 / math.sqrt(2), range(2, 9))
-    assert series.axis_names == ("clones", "concurrence", "eof")
-    flat = list(series.iter_flat())
-    assert [row[0] for row in flat] == list(range(2, 9))
-    cs = [row[1] for row in flat]
+    state = psi_minus_family(1 / math.sqrt(2))
+    cs = [concurrence(scm_clone(state, m)).concurrence for m in range(2, 9)]
     assert all(a >= b for a, b in zip(cs, cs[1:]))  # more copies, less entanglement
     assert cs[0] > cs[3] > 0.0  # M = 2..5 still entangled
     assert cs[4] == cs[5] == cs[6] == 0.0  # M >= 6 separable
@@ -392,7 +390,8 @@ def test_region_grid_sides_match_shrink_params():
     for resolution in (41, 61):
         for s1, s2, value, flag in acm_region_grid(resolution, 0.7).iter_flat():
             params = ShrinkParams(s1, s2)
-            assert (value is not None) == acm_constraint_satisfied(params), (s1, s2)
+            inside = acm_region_value(params.s1, params.s2) <= CONSTRAINT_SLACK
+            assert (value is not None) == inside, (s1, s2)
             assert flag is acm_degenerate(s1, s2), (s1, s2)
 
 

@@ -60,10 +60,11 @@ def test_mean_acm_requires_both_shrinks(capsys):
 
 
 def test_mean_rejects_point_outside_region(capsys):
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         capsys, ["mean", "--machine", "acm", "--s1", "0.9", "--s2", "0.9"]
     )
-    assert rc == 2 and "region" in err
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "region" in err
 
 
 def test_mean_rejects_stray_shrink_flags(capsys):
@@ -72,8 +73,9 @@ def test_mean_rejects_stray_shrink_flags(capsys):
 
 
 def test_mean_rejects_unreachable_tolerance(capsys):
-    rc, _, err = run_cli(capsys, ["mean", "--machine", "wzcm", "--quad-tol", "1e-12"])
-    assert rc == 2 and "quad-tol" in err
+    rc, out, err = run_cli(capsys, ["mean", "--machine", "wzcm", "--quad-tol", "1e-12"])
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "quad-tol" in err
 
 
 @pytest.mark.parametrize("command", ["mean", "fig5"])
@@ -303,6 +305,15 @@ def test_failures_write_nothing_to_the_output_file(capsys, tmp_path, monkeypatch
     rc, _, err = run_cli(capsys, ["fig5", "--quad-tol", "1e-10", "--output", str(path)])
     assert rc == 1 and "numeric failure" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unopenable_output_exits_two(capsys, tmp_path, where):
+    path = tmp_path / "absent" / "out.csv" if where == "missing_directory" else tmp_path
+    rc, out, err = run_cli(capsys, ["fig1", "--grid-points", "5", "--output", str(path)])
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("qclone: error: --output: ")
+    assert str(path) in err
 
 
 def test_grid_validation(capsys):

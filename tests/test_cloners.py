@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from qclone.cloners import (
+    CONSTRAINT_SLACK,
     ShrinkParams,
     acm_boundary_s2,
     acm_clone,
     acm_clone_closed,
-    acm_constraint_satisfied,
     acm_degenerate,
     acm_region_value,
     scm_clone,
@@ -20,9 +20,9 @@ from qclone.cloners import (
     wzcm_clone,
     wzcm_clone_closed,
     wzcm_family_clone,
-    wzcm_fidelity,
     wzcm_full_output,
 )
+from qclone.entanglement import fidelity
 from qclone.qmath import partial_trace
 from qclone.states import (
     BELL_MATRIX,
@@ -69,8 +69,8 @@ def test_clone_outputs_are_density_matrices():
 def test_wzcm_clones_bell_states_perfectly():
     for which in BELL_ORDER:
         coeffs = to_bell_basis(bell_state(which))
-        assert abs(wzcm_fidelity(coeffs) - 1.0) < 1e-14
         rho = wzcm_clone(coeffs)
+        assert abs(fidelity(bell_state(which), rho) - 1.0) < 1e-14
         assert np.max(np.abs(rho - density_of(bell_state(which)))) < 1e-14
 
 
@@ -78,15 +78,15 @@ def test_wzcm_minimal_fidelity_at_uniform_coefficients():
     # every sign pattern of (+-1/2, +-1/2, +-1/2, +-1/2) hits the floor 1/4
     for bits in range(16):
         coeffs = np.array([0.5 if bits >> i & 1 else -0.5 for i in range(4)])
-        assert abs(wzcm_fidelity(coeffs) - 0.25) < 1e-14
+        assert abs(fidelity(BELL_MATRIX.T @ coeffs, wzcm_clone(coeffs)) - 0.25) < 1e-14
 
 
 def test_wzcm_fidelity_of_family_state():
     for alpha in ALPHAS:
         beta = math.sqrt(1 - alpha * alpha)
-        coeffs = to_bell_basis(psi_minus_family(alpha))
+        state = psi_minus_family(alpha)
         want = ((alpha - beta) ** 4 + (alpha + beta) ** 4) / 4.0
-        assert abs(wzcm_fidelity(coeffs) - want) < 1e-13
+        assert abs(fidelity(state, wzcm_clone(to_bell_basis(state))) - want) < 1e-13
 
 
 def test_wzcm_full_output_traces_to_clone():
@@ -167,9 +167,9 @@ def test_shrink_params_validation_and_constraint():
     p = ShrinkParams(0.5, 0.5)
     # 4(1-s1-s2)^2 - (1-s1)(1-s2) at the symmetric midpoint
     assert abs(acm_region_value(p.s1, p.s2) - (-0.25)) < 1e-15
-    assert acm_constraint_satisfied(p)
-    assert not acm_constraint_satisfied(ShrinkParams(0.9, 0.9))
-    assert not acm_constraint_satisfied(ShrinkParams(0.0, 0.0))
+    assert acm_region_value(p.s1, p.s2) <= CONSTRAINT_SLACK
+    assert acm_region_value(0.9, 0.9) > CONSTRAINT_SLACK
+    assert acm_region_value(0.0, 0.0) > CONSTRAINT_SLACK
 
 
 def test_degenerate_endpoints():
@@ -177,8 +177,8 @@ def test_degenerate_endpoints():
     assert acm_degenerate(0.0, 1.0)
     assert not acm_degenerate(0.6, 0.6)
     # the endpoints still satisfy the region constraint
-    assert acm_constraint_satisfied(ShrinkParams(1.0, 0.0))
-    assert acm_constraint_satisfied(ShrinkParams(0.0, 1.0))
+    assert acm_region_value(1.0, 0.0) <= CONSTRAINT_SLACK
+    assert acm_region_value(0.0, 1.0) <= CONSTRAINT_SLACK
 
 
 def test_boundary_points_satisfy_constraint():
@@ -254,4 +254,4 @@ def test_complex_bell_coefficients_accepted():
         rho = wzcm_clone(c)
         assert_density_matrix(rho)
         weights = np.abs(c) ** 4
-        assert abs(wzcm_fidelity(c) - weights.sum()) < 1e-13
+        assert abs(fidelity(BELL_MATRIX.T @ c, rho) - weights.sum()) < 1e-13

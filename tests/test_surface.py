@@ -1,0 +1,103 @@
+"""The top-level package and the names other code relies on.
+
+``from qclone import *`` binds exactly ``__all__``, each exported name is the
+object of the same name in its submodule, and the README's quick start runs
+as written.  The benchmark's traced mode (``perfbench/spans.py`` and
+``perfbench/child.py``) wraps public functions by module and name, binds the
+parameters of the two alpha-mean functions by name and reads
+``EntanglementReport.method``; the last tests pin those, so a rename fails
+here instead of leaving a traced metric at zero.
+"""
+
+import inspect
+import pathlib
+import re
+
+import numpy as np
+
+import qclone
+import qclone.analysis
+import qclone.cli
+import qclone.entanglement
+import qclone.qmath
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SUBMODULES = ("analysis", "cloners", "entanglement", "qmath", "states")
+
+
+def test_star_import_binds_exactly_all():
+    assert len(qclone.__all__) == len(set(qclone.__all__))
+    namespace = {}
+    exec("from qclone import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(qclone.__all__)
+    for name in qclone.__all__:
+        assert namespace[name] is getattr(qclone, name)
+
+
+def test_exported_names_live_in_their_submodules():
+    for name in qclone.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(qclone, name)
+        assert any(getattr(getattr(qclone, m), name, None) is obj for m in SUBMODULES), name
+
+
+def test_readme_quick_start_runs_as_written():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def _is_public_in(module, name):
+    fn = getattr(module, name)
+    return inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
+
+
+def test_benchmark_hooked_functions():
+    assert _is_public_in(qclone.qmath, "hermitian_eigen")
+    assert _is_public_in(qclone.entanglement, "concurrence")
+    rho = qclone.scm_clone(qclone.psi_minus_family(0.6), 2)
+    assert qclone.concurrence(rho).method == "generic"
+    coeffs = np.array([0.5, 0.5j, -0.5, 0.5])
+    reduced = qclone.partial_trace(qclone.wzcm_full_output(coeffs), "clone1")
+    assert np.max(np.abs(reduced - qclone.wzcm_clone(coeffs))) < 1e-14
+
+
+def test_benchmark_binds_the_mean_parameters(monkeypatch, tmp_path):
+    # the traced mode binds machine or params, and tol, by name, and reads
+    # value and evaluations off the result of each call the CLI makes
+    seen = []
+    for name, params in (
+        ("mean_entanglement", ["machine", "tol"]),
+        ("mean_entanglement_acm", ["params", "tol"]),
+    ):
+        fn = getattr(qclone.analysis, name)
+        assert _is_public_in(qclone.analysis, name)
+        signature = inspect.signature(fn)
+        assert list(signature.parameters) == params
+
+        def spy(*args, fn=fn, signature=signature, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            result = fn(*args, **kwargs)
+            seen.append((fn.__name__, dict(bound.arguments), result.value, result.evaluations))
+            return result
+
+        monkeypatch.setattr(qclone.analysis, name, spy)
+    output = ["--output", str(tmp_path / "out.csv")]
+    for argv in (
+        ["mean", "--machine", "scm"],
+        ["mean", "--machine", "acm", "--s1", "0.7", "--s2", "0.48"],
+        ["fig5", "--grid-points", "3"],
+    ):
+        assert qclone.cli.main(argv + output) == 0
+    assert [(name, sorted(args)) for name, args, _, _ in seen] == [
+        ("mean_entanglement", ["machine", "tol"]),
+        ("mean_entanglement_acm", ["params", "tol"]),
+        ("mean_entanglement", ["machine", "tol"]),
+        ("mean_entanglement", ["machine", "tol"]),
+    ]
+    acm_args = seen[1][1]
+    assert (acm_args["params"].s1, acm_args["params"].s2, acm_args["tol"]) == (0.7, 0.48, 1e-7)
+    assert all(isinstance(value, float) and evaluations > 0 for _, _, value, evaluations in seen)
