@@ -15,7 +15,6 @@ from .analysis import (
     acm_alpha_surface,
     acm_curve_sweep,
     acm_region_grid,
-    entanglement_curve,
     family_eof,
     family_mean,
     mean_entanglement,
@@ -88,7 +87,6 @@ __all__ = [
     "concurrence",
     "concurrence_xstate",
     "density_of",
-    "entanglement_curve",
     "eof_from_concurrence",
     "family_eof",
     "family_mean",

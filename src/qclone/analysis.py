@@ -238,29 +238,6 @@ def _unit_grid(values: Sequence[float], name: str) -> np.ndarray:
     return grid
 
 
-def entanglement_curve(
-    machine: str,
-    grid: Sequence[float],
-    params: ShrinkParams | None = None,
-) -> SweepSeries:
-    """Per-alpha entanglement of formation of one clone along a grid.
-
-    ``machine`` is "wzcm", "scm" (two copies) or "acm"; the asymmetric
-    machine needs ``params`` and reports the two-copy average.
-    """
-    if machine not in MACHINES:
-        raise ValueError(f"machine must be one of {MACHINES}, got {machine!r}")
-    alphas = _unit_grid(grid, "alpha")
-    if machine == "acm":
-        if params is None:
-            raise ValueError("the asymmetric machine needs shrink parameters")
-        _require_region(params.s1, params.s2)
-        values = 0.5 * (family_eof(alphas, params.s1) + family_eof(alphas, params.s2))
-    else:
-        values = family_eof(alphas, 1.0 if machine == "wzcm" else scm_shrink_factor(2))
-    return SweepSeries(axis_names=("alpha", "eof"), columns=(alphas, values), inputs=1)
-
-
 def mean_entanglement(machine: str, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     """Entanglement of formation of one clone averaged over alpha in [0, 1]."""
     if machine == "wzcm":
@@ -311,7 +288,8 @@ def acm_curve_sweep(
         means = family_mean(np.stack((s1s, s2s)), tol).value
         values = 0.5 * (means[0] + means[1])
     else:
-        values = 0.5 * (family_eof(alpha, s1s) + family_eof(alpha, s2s))
+        eof = family_eof(alpha, np.stack((s1s, s2s)))
+        values = 0.5 * (eof[0] + eof[1])
     name = "mean_eof" if alpha is None else "avg_eof"
     return SweepSeries(
         axis_names=("s1", "s2", name, "degenerate"),
@@ -349,8 +327,8 @@ def acm_alpha_surface(
     alphas = _unit_grid(alpha_grid, "alpha")
     s1s = _unit_grid(s1_grid, "s1")
     s2s = np.clip(acm_boundary_s2(s1s, branch), 0.0, 1.0)
-    a = alphas[:, None]
-    values = 0.5 * (family_eof(a, s1s) + family_eof(a, s2s))
+    eof = family_eof(alphas[:, None], np.stack((s1s, s2s))[:, None, :])
+    values = 0.5 * (eof[0] + eof[1])
     s1, s2 = np.tile(s1s, alphas.size), np.tile(s2s, alphas.size)
     return SweepSeries(
         axis_names=("alpha", "s1", "s2", "avg_eof", "degenerate"),

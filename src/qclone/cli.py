@@ -5,13 +5,19 @@ lines recording the exact configuration, one header row naming the columns,
 then data rows.  Fields are comma-separated, floats carry 9 significant
 digits, line endings are Unix.  Identical flags produce identical bytes.
 Each command computes its table as numpy columns before a byte is written,
-so exit-1 and exit-2 failures write nothing; the rows are then formatted
+so numeric and usage failures write nothing; the rows are then formatted
 and written BLOCK_ROWS at a time, never held as one string.
+
+Flags are parsed at the subcommand: when the first argument names a
+command, that command's parser reads the rest, and the top-level parser
+only handles a missing or unknown command, -h, and reports arguments the
+subcommand left over, with the messages and exit codes of one full parse.
 
 Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
 concurrence SVD fails to converge (the diagnostic names the failing
-computation), 2 on flag validation errors and on an --output path that
-cannot be opened.
+computation) and when writing the CSV fails (it names the output, and may
+leave part of the CSV written), 2 on flag validation errors and on an
+--output path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import sys
 from typing import Iterator
 
@@ -35,18 +42,26 @@ _SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
 GRID_POINTS_MAX = 1001
 #: rows formatted and written at a time.
 BLOCK_ROWS = 4096
-#: row-template field per column dtype kind; bools go in as words.
-_SPECS = {"f": "%.9g", "i": "%d", "b": "%s"}
+#: row-template field per dtype kind of a numpy column.
+_SPECS = {"f": "%.9g", "i": "%d"}
 #: CSV words of False and True; object dtype, so indexing yields str.
 _BOOL_WORDS = np.array(["false", "true"], dtype=object)
 
 
+def _texts(values: np.ndarray) -> list[str]:
+    """Each value formatted by %.9g, in one % over a joined template."""
+    return ("%.9g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+
+
 def _render(command: str, config, header: list[str], columns, missing=None) -> Iterator[str]:
-    """The CSV of a table of numpy columns: comment and header lines, then
+    """The CSV of a table of columns: comment and header lines, then
     blocks of up to BLOCK_ROWS rows, each formatted by one % over a row
-    template built from the column dtypes: %.9g for floats, %d for ints,
-    true/false for bools.  ``missing`` is None or one mask (or None) per
-    column; masked points print as outside_region.
+    template: %.9g for float columns, %d for int columns, true/false for
+    bool columns.  A column is a numpy array, or a pair (grid, index)
+    standing for grid[index], as the repeat and tile layout of a 2-D sweep
+    gives: each grid value is formatted once and each row takes its text
+    by index.  ``missing`` is None or one mask (or None) per column;
+    masked points print as outside_region.
     """
     lines = [f"# command: {command}"]
     for key, value in config:
@@ -54,20 +69,31 @@ def _render(command: str, config, header: list[str], columns, missing=None) -> I
     lines.append(",".join(header))
     yield "\n".join(lines) + "\n"
     masks = missing or (None,) * len(columns)
+    # bool and (grid, index) columns become (table of texts, index)
+    coded = [
+        (np.array(_texts(c[0]), dtype=object), c[1])
+        if isinstance(c, tuple)
+        else (_BOOL_WORDS, c.astype(int)) if c.dtype.kind == "b" else None
+        for c in columns
+    ]
     row = ",".join(
-        "%s" if mask is not None else _SPECS[c.dtype.kind] for c, mask in zip(columns, masks)
+        "%s" if mask is not None or code is not None else _SPECS[c.dtype.kind]
+        for c, mask, code in zip(columns, masks, coded)
     ) + "\n"
-    k, n = len(columns), len(columns[0])
+    k = len(columns)
+    n = len(coded[0][1]) if coded[0] is not None else len(columns[0])
     for lo in range(0, n, BLOCK_ROWS):
         m = min(BLOCK_ROWS, n - lo)
         cells = [None] * (m * k)
-        for j, (col, mask) in enumerate(zip(columns, masks)):
-            part = col[lo : lo + m]
-            if mask is not None:
-                text = ("%.9g\n" * m % tuple(part.tolist())).split("\n")[:-1]
-                part = np.where(mask[lo : lo + m], "outside_region", np.array(text, dtype=object))
-            elif part.dtype.kind == "b":
-                part = _BOOL_WORDS[part.astype(int)]
+        for j, (col, mask, code) in enumerate(zip(columns, masks, coded)):
+            if code is not None:
+                table, index = code
+                part = table[index[lo : lo + m]]
+            else:
+                part = col[lo : lo + m]
+                if mask is not None:
+                    text = np.array(_texts(part), dtype=object)
+                    part = np.where(mask[lo : lo + m], "outside_region", text)
             cells[j::k] = part.tolist()
         yield row * m % tuple(cells)
 
@@ -128,6 +154,13 @@ def _check_tol(tol: float) -> None:
         analysis._check_tol(tol)
     except ValueError as exc:
         raise _UsageError(f"--quad-tol: {exc}") from exc
+
+
+def _repeat_tile(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices of the outer (np.repeat) and inner (np.tile) input of
+    the rows of an n x n sweep."""
+    index = np.arange(n)
+    return np.repeat(index, n), np.tile(index, n)
 
 
 def _clone_matrix(args) -> tuple[np.ndarray, list[tuple[str, object]]]:
@@ -195,18 +228,20 @@ def _cmd_mean(args) -> Iterator[str]:
 def _cmd_fig1(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     grid = analysis.uniform_grid(args.grid_points)
-    alphas, wz = analysis.entanglement_curve("wzcm", grid).columns
-    sc = analysis.entanglement_curve("scm", grid).columns[1]
+    wz, sc = analysis.family_eof(grid, [[1.0], [cloners.scm_shrink_factor(2)]])
     config = [("grid_points", args.grid_points)]
-    return _render("fig1", config, ["alpha", "eof_wzcm", "eof_scm"], [alphas, wz, sc])
+    return _render("fig1", config, ["alpha", "eof_wzcm", "eof_scm"], [grid, wz, sc])
 
 
 def _cmd_fig2(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
     series = analysis.acm_region_grid(args.grid_points, args.alpha)
+    grid = analysis.uniform_grid(args.grid_points)
+    outer, inner = _repeat_tile(args.grid_points)
+    columns = [(grid, outer), (grid, inner), *series.columns[2:]]
     config = [("alpha", float(args.alpha)), ("grid_points", args.grid_points)]
-    return _render("fig2", config, series.axis_names, series.columns, series.missing)
+    return _render("fig2", config, series.axis_names, columns, series.missing)
 
 
 def _cmd_fig3(args) -> Iterator[str]:
@@ -226,8 +261,12 @@ def _cmd_fig4(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     grid = analysis.uniform_grid(args.grid_points)
     series = analysis.acm_alpha_surface(grid, grid, args.branch)
+    outer, inner = _repeat_tile(args.grid_points)
+    # s2 runs as np.tile(s2s, n): its first n rows are the s2 of each s1
+    s2s = series.columns[2][: args.grid_points]
+    columns = [(grid, outer), (grid, inner), (s2s, inner), *series.columns[3:]]
     config = [("branch", args.branch), ("grid_points", args.grid_points)]
-    return _render("fig4", config, series.axis_names, series.columns)
+    return _render("fig4", config, series.axis_names, columns)
 
 
 def _cmd_fig5(args) -> Iterator[str]:
@@ -318,8 +357,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsed at the subcommand.
+
+    When argv[0] names a command, that command's subparser in the cached
+    tree reads the rest with ``command`` preset, so the top-level parser
+    does not scan every sub-flag first; what it leaves over is reported by
+    the top-level parser with the message ``parse_args`` gives.  Anything
+    else (no command, an unknown one, -h) goes to the top-level parser.
+    """
+    parser = _parser()
+    # argparse has no public accessor for the subparsers action; it is the
+    # one action of the positional group
+    (commands,) = parser._subparsers._group_actions
+    sub = commands.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         chunks = _COMMANDS[args.command](args)
         output = _open_output(args.output)
@@ -333,10 +394,24 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
         return 1
-    with output as fh:
-        fh.writelines(chunks)
+    try:
+        with output as fh:
+            fh.writelines(chunks)
+            fh.flush()
+    except OSError as exc:
+        target = "stdout" if args.output is None else repr(args.output)
+        print(f"{PROG}: write failure: {exc.strerror or exc}: {target}", file=sys.stderr)
+        return 1
     return 0
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """The console script: exit with main's status.  After a failed write
+    to stdout, its file descriptor is pointed at os.devnull, so the flush
+    at interpreter exit cannot fail on the same bytes again."""
+    status = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(status)

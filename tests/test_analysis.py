@@ -19,7 +19,6 @@ from qclone.analysis import (
     acm_alpha_surface,
     acm_curve_sweep,
     acm_region_grid,
-    entanglement_curve,
     family_eof,
     family_mean,
     mean_entanglement,
@@ -126,33 +125,29 @@ def test_sweep_series_iter_flat_gives_python_scalars_and_none_where_missing():
 
 def test_entanglement_curve_wzcm_equals_input_entanglement():
     grid = uniform_grid(51)
-    series = entanglement_curve("wzcm", grid)
-    assert series.axis_names == ("alpha", "eof")
-    for alpha, eof in series.iter_flat():
+    for alpha, eof in zip(grid.tolist(), family_eof(grid, 1.0).tolist()):
         beta = math.sqrt(1 - alpha * alpha)
         assert abs(eof - eof_from_concurrence(2 * alpha * beta)) < 1e-12
 
 
 def test_entanglement_curve_scm_peaks_at_maximal_input_entanglement():
-    series = entanglement_curve("scm", uniform_grid(101))
-    flat = list(series.iter_flat())
-    peak_alpha = max(flat, key=lambda row: row[1])[0]
-    assert abs(peak_alpha - 1 / math.sqrt(2)) <= 0.01  # nearest grid point
-    assert flat[0][1] == 0.0 and flat[-1][1] == 0.0  # product inputs stay separable
+    grid = uniform_grid(101)
+    curve = family_eof(grid, scm_shrink_factor(2))
+    assert abs(grid[np.argmax(curve)] - 1 / math.sqrt(2)) <= 0.01  # nearest grid point
+    assert curve[0] == 0.0 and curve[-1] == 0.0  # product inputs stay separable
 
 
 def test_entanglement_curve_validation():
-    with pytest.raises(ValueError):
-        entanglement_curve("xyz", uniform_grid(5))
-    with pytest.raises(ValueError):
-        entanglement_curve("acm", uniform_grid(5))  # needs params
-    with pytest.raises(ValueError):
-        entanglement_curve("wzcm", [0.0, 1.5])
+    for alpha, s in (([0.0, 1.5], 1.0), ([0.0, math.nan], 1.0), (0.5, [1.0, math.nan])):
+        with pytest.raises(ValueError):
+            family_eof(alpha, s)
 
 
 def acm_average(alpha, params):
-    """Two-copy average EoF of the asymmetric cloner at one alpha."""
-    return float(entanglement_curve("acm", [alpha], params).columns[1][0])
+    """Two-copy average EoF of the asymmetric cloner at one alpha, for a
+    shrink pair inside the region."""
+    qclone.analysis._require_region(params.s1, params.s2)
+    return float(0.5 * (family_eof(alpha, params.s1) + family_eof(alpha, params.s2)))
 
 
 def test_acm_entanglement_curve_is_symmetric_in_the_two_shrinks():
@@ -348,9 +343,8 @@ def test_family_eof_matches_generic_pipeline():
 def test_wzcm_curve_is_exact_next_to_the_singlet():
     # the generic route missed this point by 1.8e-7 in C
     alpha = SINGLET + 3e-4
-    (row,) = entanglement_curve("wzcm", [alpha]).iter_flat()
     want = eof_from_concurrence(2 * alpha * math.sqrt(1 - alpha * alpha))
-    assert abs(row[1] - want) <= 1e-12
+    assert abs(family_eof(alpha, 1.0) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("c", [5.8e-6, 5.8e-5, 1e-3])
@@ -377,11 +371,32 @@ def test_family_eof_broadcasts_and_validates():
 
 
 def test_scalar_routes_match_the_kernel():
+    # the generic route, one clone at a time
     for alpha in (0.0, 0.3, SINGLET, 0.9, 1.0):
+        state = psi_minus_family(alpha)
         for s1, s2 in ((1.0, 0.0), (0.8, 0.3), (0.6, 0.6)):
-            want = 0.5 * (family_eof(alpha, s1) + family_eof(alpha, s2))
+            e1, e2 = (concurrence(acm_clone(state, s)).eof for s in (s1, s2))
+            want = 0.5 * (e1 + e2)
             got = acm_average(alpha, ShrinkParams(s1, s2))
-            assert abs(got - want) <= 1e-15
+            assert abs(got - want) <= 1e-10
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+def test_two_copy_sweeps_are_bit_exact_against_one_kernel_call_per_copy(branch):
+    # both copies go through one family_eof call; each value must keep the
+    # bits of two separate calls, on grids that hold the degenerate ends
+    grid = uniform_grid(41)
+    s2s = np.clip(acm_boundary_s2(grid, branch), 0.0, 1.0)
+    alphas = np.union1d(uniform_grid(21), [SINGLET])
+    for alpha in alphas:
+        series = acm_curve_sweep(grid, branch, alpha=alpha)
+        want = 0.5 * (family_eof(alpha, grid) + family_eof(alpha, s2s))
+        assert np.array_equal(series.columns[2], want), alpha
+    assert series.columns[3][[0, -1]].tolist() == [branch == "upper", True]
+    surface = acm_alpha_surface(alphas, grid, branch).columns[3]
+    a = alphas[:, None]
+    want = 0.5 * (family_eof(a, grid) + family_eof(a, s2s))
+    assert np.array_equal(surface, want.ravel())
 
 
 def test_region_grid_sides_match_shrink_params():

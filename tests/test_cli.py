@@ -5,16 +5,29 @@ compared against the library API, and the failure paths are checked for
 their exit codes and one-line diagnostics.
 """
 
+import errno
+import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import qclone.analysis
 import qclone.cli
-from qclone.analysis import QuadratureConvergenceError, mean_entanglement, uniform_grid
+from qclone.analysis import (
+    QuadratureConvergenceError,
+    acm_alpha_surface,
+    acm_region_grid,
+    family_eof,
+    mean_entanglement,
+    uniform_grid,
+)
 from qclone.cli import GRID_POINTS_MAX, main
-from qclone.cloners import acm_clone_closed
+from qclone.cloners import acm_clone_closed, scm_shrink_factor
 from qclone.entanglement import concurrence
 from qclone.cloners import wzcm_family_clone
 
@@ -203,9 +216,9 @@ def test_fig1_matches_curve_api(capsys):
     assert config["grid_points"] == "11"
     assert len(rows) == 11
     grid = uniform_grid(11)
-    wz = list(qclone.analysis.entanglement_curve("wzcm", grid).iter_flat())
-    sc = list(qclone.analysis.entanglement_curve("scm", grid).iter_flat())
-    for row, (alpha, e_wz), (_, e_sc) in zip(rows, wz, sc):
+    wz = family_eof(grid, 1.0)
+    sc = family_eof(grid, scm_shrink_factor(2))
+    for row, alpha, e_wz, e_sc in zip(rows, grid, wz, sc):
         assert abs(float(row[0]) - alpha) < 1e-8
         assert abs(float(row[1]) - e_wz) < 1e-8
         assert abs(float(row[2]) - e_sc) < 1e-8
@@ -341,6 +354,155 @@ def test_unknown_arguments_exit_two():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+#: a sample value of each flag of each command but --output, and the
+#: flags the command requires.
+FLAG_SAMPLES = {
+    "fig1": ({"--grid-points": "11"}, []),
+    "fig2": ({"--alpha": "0.6", "--grid-points": "11"}, []),
+    "fig3": ({"--alpha": "0.6", "--branch": "lower", "--grid-points": "11"}, []),
+    "fig4": ({"--branch": "lower", "--grid-points": "11"}, []),
+    "fig5": ({"--branch": "lower", "--grid-points": "3", "--quad-tol": "1e-6"}, []),
+    "clone": ({"--clones": "3", "--s1": "0.8"}, ["--machine", "scm", "--alpha", "0.6"]),
+    "entangle": ({"--clones": "3", "--s1": "0.8"}, ["--machine", "acm", "--alpha", "0.6"]),
+    "mean": ({"--s1": "0.8", "--s2": "0.3", "--quad-tol": "1e-6"}, ["--machine", "acm"]),
+}
+
+
+def oracle_argvs():
+    argvs = [[], ["-h"], ["--help"], ["fig9"], ["--output", "o", "fig1"], ["fig1", "extra"]]
+    for command, (flags, required) in FLAG_SAMPLES.items():
+        argvs += [[command, *required], [command, "-h"], [command, *required, "--bogus"]]
+        for flag, value in {**flags, "--output": "out.csv"}.items():
+            argvs += [
+                [command, *required, flag, value],
+                [command, *required, f"{flag}={value}"],
+                [command, *required, flag, value, flag, value],
+            ]
+    argvs += [
+        ["fig1", "--grid", "11"],
+        ["fig1", "--grid-points", "5", "--grid-points", "7"],
+        ["fig1", "--grid-points", "11", "--bogus", "x", "y"],
+        ["fig1", "--", "x"],
+        ["fig2", "--alpha", "-0.5"],
+        ["fig2", "--alpha", "abc"],
+        ["fig1", "--grid-points", "x"],
+        ["fig3", "--branch", "middle"],
+        ["mean", "--machine", "qcm"],
+        ["mean", "--machine", "acm", "--s", "0.5"],
+        ["clone", "--alpha", "0.6"],
+        ["entangle", "--machine", "wzcm", "--alpha"],
+        ["fig1", "--help=x"],
+    ]
+    return argvs
+
+
+def parse_outcome(capsys, parse, argv):
+    """What a parse gives: its namespace or exit code, then stdout and stderr."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", oracle_argvs(), ids=" ".join)
+def test_parse_at_the_subcommand_matches_the_full_parser(capsys, argv):
+    want = parse_outcome(capsys, qclone.cli._parser().parse_args, argv)
+    assert parse_outcome(capsys, qclone.cli._parse, argv) == want
+
+
+class FailingWriter(io.StringIO):
+    """A text stream whose every write raises ``exc``."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EPIPE])
+@pytest.mark.parametrize("target", ["stdout", "file"])
+def test_write_failures_exit_one(capsys, monkeypatch, tmp_path, code, target):
+    writer = FailingWriter(OSError(code, os.strerror(code)))
+    argv = ["fig1", "--grid-points", "5"]
+    if target == "stdout":
+        monkeypatch.setattr(sys, "stdout", writer)
+        name = "stdout"
+    else:
+        path = str(tmp_path / "out.csv")
+        monkeypatch.setattr(qclone.cli, "open", lambda *args, **kwargs: writer, raising=False)
+        argv += ["--output", path]
+        name = repr(path)
+    if code == errno.EPIPE:
+        assert isinstance(writer.exc, BrokenPipeError)
+    rc, _, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert err == f"qclone: write failure: {os.strerror(code)}: {name}\n"
+
+
+def run_script(*argv, **kwargs):
+    """``python -m qclone`` in a child interpreter, importing this checkout."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(qclone.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [sys.executable, "-m", "qclone", *argv], env=env, text=True, **kwargs
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exits_one_with_one_line():
+    proc = run_script(
+        "fig1", "--grid-points", "11", "--output", "/dev/full",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and out == ""
+    assert err == "qclone: write failure: No space left on device: '/dev/full'\n"
+
+
+def test_closed_stdout_pipe_exits_one_without_traceback():
+    # fig2 at its default 201 points writes 1.2 MB, far past a pipe buffer
+    proc = run_script("fig2", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == "# command: fig2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "qclone: write failure: Broken pipe: stdout\n"
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+def test_figure_columns_are_the_kernel_and_sweep_bits(monkeypatch, branch):
+    # fig1 takes both columns from one family_eof call; fig2 and fig4 hand
+    # their inputs over as (grid, index) pairs, which must decode to the
+    # sweep's own columns
+    seen = {}
+
+    def spy(command, config, header, columns, missing=None):
+        seen[command] = [c[0][c[1]] if isinstance(c, tuple) else c for c in columns]
+        return iter(())
+
+    monkeypatch.setattr(qclone.cli, "_render", spy)
+    for argv in (["fig1"], ["fig2", "--alpha", "0.6"], ["fig4", "--branch", branch]):
+        assert main(argv + ["--grid-points", "41"]) == 0
+    grid = uniform_grid(41)
+    alpha, wz, sc = seen["fig1"]
+    assert np.array_equal(alpha, grid)
+    assert np.array_equal(wz, family_eof(grid, 1.0))
+    assert np.array_equal(sc, family_eof(grid, scm_shrink_factor(2)))
+    for command, series in (
+        ("fig2", acm_region_grid(41, 0.6)),
+        ("fig4", acm_alpha_surface(grid, grid, branch)),
+    ):
+        assert len(seen[command]) == len(series.columns)
+        for got, want in zip(seen[command], series.columns):
+            assert np.array_equal(got, want), command
 
 
 def test_float_formatting_is_nine_significant_digits(capsys):
