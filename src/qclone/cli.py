@@ -115,21 +115,19 @@ def _open_output(path: str | None):
 
 def _machine_inputs(args) -> tuple:
     """Validate the machine/parameter flag combination for clone/entangle."""
+    if args.clones is not None and args.machine != "scm":
+        raise _UsageError("--clones only applies to --machine scm")
+    if args.s1 is not None and args.machine != "acm":
+        raise _UsageError("--s1 only applies to --machine acm")
     if args.machine == "wzcm":
-        if args.clones is not None:
-            raise _UsageError("--clones only applies to --machine scm")
-        if args.s1 is not None:
-            raise _UsageError("--s1 only applies to --machine acm")
         return ("wzcm", None)
     if args.machine == "scm":
-        if args.s1 is not None:
-            raise _UsageError("--s1 only applies to --machine acm")
         count = 2 if args.clones is None else args.clones
-        if count < 2:
-            raise _UsageError("--clones must be at least 2")
+        try:
+            cloners.scm_shrink_factor(count)
+        except ValueError as exc:
+            raise _UsageError(f"--clones: {exc}") from exc
         return ("scm", count)
-    if args.clones is not None:
-        raise _UsageError("--clones only applies to --machine scm")
     if args.s1 is None:
         raise _UsageError("--machine acm needs --s1")
     _check_unit("--s1", args.s1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import as_state_vector
+from .qmath import _shape4, as_state_vector
 from .states import BELL_MATRIX, density_of, psi_minus_family, to_bell_basis
 
 #: slack accepted when testing the asymmetric-cloner constraint.
@@ -115,10 +115,7 @@ def shrink_map(rho: np.ndarray, s: float) -> np.ndarray:
     """Isotropic shrink s*rho + (1-s)/4 * I of a two-qubit density matrix."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"shrink factor must lie in [0, 1], got {s!r}")
-    m = np.asarray(rho, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
-    return s * m + ((1.0 - s) / 4.0) * _IDENTITY4
+    return s * _shape4(rho) + ((1.0 - s) / 4.0) * _IDENTITY4
 
 
 def scm_clone(state, count: int = 2) -> np.ndarray:

@@ -11,7 +11,9 @@ Instead of a non-Hermitian eigensolve of rho*rho_tilde, the l_i are taken
 as the singular values of F^T Y F, with Y = sigma_y x sigma_y and
 F = V sqrt(w) the eigen-factor of rho (F F^dag = rho): sqrt(rho) Y sqrt(rho)*
 = V conj(F^T Y F) V^T has the same singular values, whose squares are that
-spectrum.  No eigenvalue goes under a square root, so a small l_i keeps an
+spectrum.  Y is a signed anti-diagonal, so F^T Y is F^T with its columns
+reversed and signed, and a state costs one eigh, one svd and one 4x4
+product.  No eigenvalue goes under a square root, so a small l_i keeps an
 absolute error of a few eps.  rho must have unit trace: a scaled rho scales
 every l_i, and C would be clipped to 1 unseen.
 """
@@ -35,15 +37,9 @@ XSTATE_TOL = 1e-12
 IMAG_TOL = 1e-12
 
 #: sigma_y x sigma_y over the computational basis.
-SIGMA_Y_PAIR = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=np.complex128,
-)
+SIGMA_Y_PAIR = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+#: its nonzero entries Y[3-j, j], so that F^T Y = F^T[:, ::-1] * _FLIP_SIGNS.
+_FLIP_SIGNS = SIGMA_Y_PAIR[::-1].diagonal().copy()
 
 #: index pairs allowed to be nonzero in an X-shaped density matrix.
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
@@ -101,16 +97,12 @@ def concurrence(rho) -> EntanglementReport:
     # tr rho = |F|_F^2 up to the eigenvalues below 1e-10 that the factor
     # sets to 0; one dot product costs a third of np.trace on rho
     _check_trace(float(np.vdot(factor, factor).real))
-    l = np.linalg.svd(factor.T @ SIGMA_Y_PAIR @ factor, compute_uv=False).tolist()
+    l = np.linalg.svd((factor.T[:, ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False).tolist()
     floor = SQRT_ZERO_FLOOR * l[0]
     lams = tuple(x if x > floor else 0.0 for x in l)
     c = lams[0] - lams[1] - lams[2] - lams[3]
     c = min(c, 1.0) if c > floor else 0.0
-    return EntanglementReport(
-        concurrence=c,
-        eof=eof_from_concurrence(c),
-        lambdas=lams,
-    )
+    return EntanglementReport(concurrence=c, eof=eof_from_concurrence(c), lambdas=lams)
 
 
 def concurrence_xstate(rho) -> float:

@@ -20,6 +20,7 @@ Everything here is a pure function; nothing keeps state between calls.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -72,24 +73,33 @@ class EigenResult(NamedTuple):
     vectors: np.ndarray
 
 
-def _as_matrix4(a) -> np.ndarray:
+def _shape4(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return m
+
+
+def _as_matrix4(a) -> np.ndarray:
+    m = _shape4(a)
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
 
 def as_state_vector(vec, dim: int) -> np.ndarray:
-    """Validate and return a normalized complex state vector of length dim."""
+    """Validate and return a normalized complex state vector of length dim.
+
+    A NaN or Inf entry makes norm^2 NaN or Inf and fails the norm check,
+    which then raises ValueError for it rather than NotNormalizedError.
+    """
     v = np.asarray(vec, dtype=np.complex128).reshape(-1)
     if v.shape != (dim,):
         raise ValueError(f"expected a state vector of length {dim}, got {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("state vector contains NaN or Inf entries")
     norm_sq = float(np.vdot(v, v).real)
-    if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+    if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
+        if not np.isfinite(v).all():
+            raise ValueError("state vector contains NaN or Inf entries")
         raise NotNormalizedError(f"state norm^2 = {norm_sq!r} differs from 1")
     return v
 
@@ -102,10 +112,13 @@ def hermitian_eigen(a) -> EigenResult:
 
     Raises NotHermitianError if max |a - a^dag| exceeds HERMITICITY_TOL, and
     EigenConvergenceError if LAPACK reports that the solve did not converge.
+    A NaN or Inf entry leaves one in a - a^dag and fails the same check,
+    which then raises ValueError for it rather than NotHermitianError.
     """
-    m = _as_matrix4(a)
+    m = _shape4(a)
     skew = m - m.conj().T
-    if float(np.abs(skew).max()) > HERMITICITY_TOL:
+    if not float(np.abs(skew).max()) <= HERMITICITY_TOL:
+        _as_matrix4(m)  # raises ValueError on a NaN or Inf entry
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     try:
         values, vectors = np.linalg.eigh(m - 0.5 * skew)
@@ -122,18 +135,15 @@ def psd_factor(a) -> np.ndarray:
     -EIG_ROUNDOFF_NEG raises NotPSDError.
     """
     values, vectors = hermitian_eigen(a)
-    low = float(values[-1])
-    if low < -EIG_ROUNDOFF_NEG:
-        raise NotPSDError(f"eigenvalue {low!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor")
-    floor = SQRT_ZERO_FLOOR * max(values[0], -low)
-    return vectors * np.sqrt(np.where(values > floor, values, 0.0))
+    w = values.tolist()
+    if w[-1] < -EIG_ROUNDOFF_NEG:
+        raise NotPSDError(f"eigenvalue {w[-1]!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor")
+    floor = SQRT_ZERO_FLOOR * max(w[0], -w[-1])
+    return vectors * [math.sqrt(x) if x > floor else 0.0 for x in w]
 
 
-_TRACE_SUBSCRIPTS = {
-    "clone1": "ajk,bjk->ab",
-    "clone2": "jak,jbk->ab",
-    "machine": "jka,jkb->ab",
-}
+#: axis order of the (pair 1, pair 2, machine) tensor with the kept factor first.
+_TRACE_AXES = {"clone1": (0, 1, 2), "clone2": (1, 0, 2), "machine": (2, 0, 1)}
 
 
 def partial_trace(state, subsystem: str) -> np.ndarray:
@@ -141,9 +151,11 @@ def partial_trace(state, subsystem: str) -> np.ndarray:
 
     ``state`` is a normalized length-64 vector ordered as
     (pair 1) x (pair 2) x (machine); ``subsystem`` picks the factor to keep.
+    With that factor's axis moved to the front, the state is a 4x16 matrix
+    t, and the reduced matrix is t t^dag.
     """
-    if subsystem not in _TRACE_SUBSCRIPTS:
-        raise ValueError(f"subsystem must be one of {tuple(_TRACE_SUBSCRIPTS)}, got {subsystem!r}")
+    if subsystem not in _TRACE_AXES:
+        raise ValueError(f"subsystem must be one of {tuple(_TRACE_AXES)}, got {subsystem!r}")
     v = as_state_vector(state, 64)
-    t = v.reshape(4, 4, 4)
-    return np.einsum(_TRACE_SUBSCRIPTS[subsystem], t, t.conj())
+    t = v.reshape(4, 4, 4).transpose(_TRACE_AXES[subsystem]).reshape(4, 16)
+    return t @ t.conj().T

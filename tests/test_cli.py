@@ -195,6 +195,17 @@ def test_clone_rejects_mismatched_flags(capsys):
     assert rc == 2 and "--alpha" in err
 
 
+@pytest.mark.parametrize("command", ["clone", "entangle"])
+@pytest.mark.parametrize("clones", [1, 0, -3])
+def test_too_few_clones_is_a_usage_error(capsys, command, clones):
+    # the count is checked once, by scm_shrink_factor, and its message is
+    # reported as a usage error
+    argv = [command, "--machine", "scm", "--alpha", "0.6", "--clones", str(clones)]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == f"qclone: error: --clones: clone count must be at least 2, got {clones}\n"
+
+
 def test_entangle_reports_match_api(capsys):
     rc, out, _ = run_cli(capsys, ["entangle", "--machine", "wzcm", "--alpha", "0.6"])
     assert rc == 0

@@ -22,6 +22,7 @@ from qclone.cloners import (
     wzcm_family_clone,
 )
 from qclone.entanglement import (
+    _FLIP_SIGNS,
     EntanglementReport,
     NotXStateError,
     SIGMA_Y_PAIR,
@@ -30,7 +31,13 @@ from qclone.entanglement import (
     eof_from_concurrence,
     fidelity,
 )
-from qclone.qmath import NotHermitianError, NotNormalizedError, NotPSDError
+from qclone.qmath import (
+    SQRT_ZERO_FLOOR,
+    NotHermitianError,
+    NotNormalizedError,
+    NotPSDError,
+    psd_factor,
+)
 from qclone.states import density_of, psi_minus_family
 
 
@@ -119,6 +126,30 @@ def test_lambda_trace_identity():
             report = concurrence(rho)
             trace = np.trace(rho @ SIGMA_Y_PAIR @ rho.conj() @ SIGMA_Y_PAIR).real
             assert abs(sum(l * l for l in report.lambdas) - trace) < 1e-9
+
+
+def test_spin_flip_is_a_signed_column_reversal():
+    # concurrence forms F^T Y as F^T with its columns reversed and signed;
+    # the product with the 0/+-1 matrix Y rounds nothing, so the two agree
+    # bit for bit
+    assert _FLIP_SIGNS.tolist() == [-1.0, 1.0, 1.0, -1.0]
+    rng = np.random.default_rng(66)
+    for _ in range(200):
+        f = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert np.array_equal(f.T[:, ::-1] * _FLIP_SIGNS, f.T @ SIGMA_Y_PAIR)
+
+
+def test_lambdas_are_the_singular_values_of_the_sandwich():
+    # against the two-product sandwich svd(F^T Y F) with the same floor
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(67)
+    for k in range(400):
+        rho = random_density(rng, rank=1 + k % 4)
+        factor = psd_factor(rho)
+        want = np.linalg.svd(factor.T @ SIGMA_Y_PAIR @ factor, compute_uv=False)
+        want[want <= SQRT_ZERO_FLOOR * want[0]] = 0.0
+        got = np.array(concurrence(rho).lambdas)
+        assert np.max(np.abs(got - want)) <= 4 * eps * want[0]
 
 
 def test_lambdas_sorted_and_nonnegative():

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qclone.entanglement import concurrence
 from qclone.qmath import (
     EigenConvergenceError,
     NotHermitianError,
@@ -240,3 +241,71 @@ def test_as_state_vector_checks_norm_and_shape():
         as_state_vector(good, 64)
     with pytest.raises(ValueError):
         as_state_vector(np.array([np.inf, 0, 0, 0]), 4)
+
+
+# A NaN or Inf entry is caught by the Hermiticity check (matrices) or the
+# norm check (vectors) the input needs anyway; the check that fails must
+# still raise a plain ValueError naming NaN or Inf, not its own error.
+NONFINITE_MATRIX_ENTRIES = {
+    "nan_on_diagonal": ((2, 2), complex(np.nan, 0.0)),
+    "inf_on_one_off_diagonal_side": ((0, 1), complex(np.inf, 0.0)),
+    "imaginary_inf_on_diagonal": ((1, 1), complex(0.0, np.inf)),
+    # inf - inf in m - m^dag: numpy warns "invalid value" before the raise
+    "inf_on_diagonal": ((3, 3), complex(np.inf, 0.0)),
+}
+NONFINITE_VECTOR_ENTRIES = {
+    "nan": complex(np.nan, 0.0),
+    "inf": complex(np.inf, 0.0),
+    "imaginary_inf": complex(0.0, np.inf),
+}
+MATRIX_CHECKS = {
+    "hermitian_eigen": hermitian_eigen,
+    "psd_factor": psd_factor,
+    "concurrence": concurrence,
+}
+VECTOR_CHECKS = {
+    "as_state_vector": lambda v: as_state_vector(v, 64),
+    "partial_trace_clone1": lambda v: partial_trace(v, "clone1"),
+    "partial_trace_clone2": lambda v: partial_trace(v, "clone2"),
+    "partial_trace_machine": lambda v: partial_trace(v, "machine"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("check", MATRIX_CHECKS.values(), ids=MATRIX_CHECKS)
+@pytest.mark.parametrize(
+    "entry, value", NONFINITE_MATRIX_ENTRIES.values(), ids=NONFINITE_MATRIX_ENTRIES
+)
+def test_nonfinite_matrix_entry_raises_plain_value_error(check, entry, value):
+    rho = random_density(np.random.default_rng(51), rank=2)
+    rho[entry] = value
+    with pytest.raises(ValueError, match="NaN or Inf") as info:
+        check(rho)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("check", MATRIX_CHECKS.values(), ids=MATRIX_CHECKS)
+def test_finite_skewed_matrix_still_raises_not_hermitian(check):
+    rho = random_density(np.random.default_rng(52), rank=2)
+    rho[0, 1] += 1e-6
+    with pytest.raises(NotHermitianError) as info:
+        check(rho)
+    assert type(info.value) is NotHermitianError
+
+
+@pytest.mark.parametrize("check", VECTOR_CHECKS.values(), ids=VECTOR_CHECKS)
+@pytest.mark.parametrize("value", NONFINITE_VECTOR_ENTRIES.values(), ids=NONFINITE_VECTOR_ENTRIES)
+def test_nonfinite_vector_entry_raises_plain_value_error(check, value):
+    v = np.full(64, 0.125, dtype=np.complex128)
+    v[37] = value
+    with pytest.raises(ValueError, match="NaN or Inf") as info:
+        check(v)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("check", VECTOR_CHECKS.values(), ids=VECTOR_CHECKS)
+def test_vector_of_norm_squared_two_still_raises_not_normalized(check):
+    v = np.full(64, 0.125 * np.sqrt(2.0), dtype=np.complex128)
+    with pytest.raises(NotNormalizedError, match="norm\\^2 = 2") as info:
+        check(v)
+    assert type(info.value) is NotNormalizedError
