@@ -5,16 +5,13 @@ of partially entangled pairs: the extended Wootters-Zurek machine (wzcm),
 the symmetric universal machine (scm, any number of copies) and the
 asymmetric machine (acm, independent shrink factors for the two copies).
 Clone quality is measured by concurrence and entanglement of formation;
-figure-style sweeps and alpha averages live in :mod:`qclone.analysis`,
-and the ``qclone`` console script emits them as CSV.
+the family's closed-form entanglement and its alpha averages live in
+:mod:`qclone.analysis`, and the ``qclone`` console script emits the
+figures built from them as CSV.
 """
 
 from .analysis import (
     QuadratureConvergenceError,
-    SweepSeries,
-    acm_alpha_surface,
-    acm_curve_sweep,
-    acm_region_grid,
     family_eof,
     family_mean,
     mean_entanglement,
@@ -74,14 +71,10 @@ __all__ = [
     "NotXStateError",
     "QuadratureConvergenceError",
     "ShrinkParams",
-    "SweepSeries",
-    "acm_alpha_surface",
     "acm_boundary_s2",
     "acm_clone",
     "acm_clone_closed",
     "acm_degenerate",
-    "acm_curve_sweep",
-    "acm_region_grid",
     "acm_region_value",
     "bell_state",
     "concurrence",

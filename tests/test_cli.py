@@ -20,16 +20,22 @@ import qclone.analysis
 import qclone.cli
 from qclone.analysis import (
     QuadratureConvergenceError,
-    acm_alpha_surface,
-    acm_region_grid,
     family_eof,
     mean_entanglement,
     uniform_grid,
 )
 from qclone.cli import GRID_POINTS_MAX, main
-from qclone.cloners import acm_clone_closed, scm_shrink_factor
+from qclone.cloners import (
+    CONSTRAINT_SLACK,
+    acm_boundary_s2,
+    acm_clone_closed,
+    acm_region_value,
+    scm_shrink_factor,
+    wzcm_family_clone,
+)
 from qclone.entanglement import concurrence
-from qclone.cloners import wzcm_family_clone
+
+from figure_table import figure_table
 
 
 def parse_csv(text):
@@ -143,7 +149,7 @@ def test_quadrature_failure_exits_one(capsys, monkeypatch):
 
 
 def test_real_convergence_failures_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr(qclone.analysis, "GL_LADDER", (2,))
+    monkeypatch.setattr(qclone.analysis, "GL_ORDER", 2)
     rc, out, err = run_cli(capsys, ["mean", "--machine", "wzcm", "--quad-tol", "1e-10"])
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "numeric failure" in err and "s = 1.0" in err
@@ -325,7 +331,7 @@ def test_failures_write_nothing_to_the_output_file(capsys, tmp_path, monkeypatch
     path = tmp_path / "out.csv"
     rc, _, err = run_cli(capsys, ["fig2", "--grid-points", "1002", "--output", str(path)])
     assert rc == 2 and "--grid-points" in err
-    monkeypatch.setattr(qclone.analysis, "GL_LADDER", (2,))
+    monkeypatch.setattr(qclone.analysis, "GL_ORDER", 2)
     rc, _, err = run_cli(capsys, ["fig5", "--quad-tol", "1e-10", "--output", str(path)])
     assert rc == 1 and "numeric failure" in err
     assert not path.exists()
@@ -489,31 +495,42 @@ def test_closed_stdout_pipe_exits_one_without_traceback():
 
 
 @pytest.mark.parametrize("branch", ["upper", "lower"])
-def test_figure_columns_are_the_kernel_and_sweep_bits(monkeypatch, branch):
+def test_figure_columns_are_the_kernel_and_sweep_bits(branch):
     # fig1 takes both columns from one family_eof call; fig2 and fig4 hand
     # their inputs over as (grid, index) pairs, which must decode to the
-    # sweep's own columns
-    seen = {}
-
-    def spy(command, config, header, columns, missing=None):
-        seen[command] = [c[0][c[1]] if isinstance(c, tuple) else c for c in columns]
-        return iter(())
-
-    monkeypatch.setattr(qclone.cli, "_render", spy)
-    for argv in (["fig1"], ["fig2", "--alpha", "0.6"], ["fig4", "--branch", branch]):
-        assert main(argv + ["--grid-points", "41"]) == 0
+    # repeat and tile layout, and their values must keep the kernel's bits
     grid = uniform_grid(41)
-    alpha, wz, sc = seen["fig1"]
+    outer, inner = np.repeat(grid, 41), np.tile(grid, 41)
+    _, (alpha, wz, sc), _ = figure_table(["fig1", "--grid-points", "41"])
     assert np.array_equal(alpha, grid)
     assert np.array_equal(wz, family_eof(grid, 1.0))
     assert np.array_equal(sc, family_eof(grid, scm_shrink_factor(2)))
-    for command, series in (
-        ("fig2", acm_region_grid(41, 0.6)),
-        ("fig4", acm_alpha_surface(grid, grid, branch)),
-    ):
-        assert len(seen[command]) == len(series.columns)
-        for got, want in zip(seen[command], series.columns):
-            assert np.array_equal(got, want), command
+    _, (s1, s2, value, _), _ = figure_table(["fig2", "--alpha", "0.6", "--grid-points", "41"])
+    assert np.array_equal(s1, outer) and np.array_equal(s2, inner)
+    assert np.array_equal(value, 0.5 * (family_eof(0.6, outer) + family_eof(0.6, inner)))
+    _, (alpha, s1, s2, value, _), _ = figure_table(["fig4", "--branch", branch, "--grid-points", "41"])
+    boundary = np.clip(acm_boundary_s2(inner, branch), 0.0, 1.0)
+    assert np.array_equal(alpha, outer) and np.array_equal(s1, inner)
+    assert np.array_equal(s2, boundary)
+    assert np.array_equal(value, 0.5 * (family_eof(outer, inner) + family_eof(outer, boundary)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 11, 41])
+def test_figure_rows_ascend_and_boundary_rows_stay_in_the_region(capsys, n):
+    # the rows of each figure are strictly ascending in their inputs, so no
+    # input repeats; fig3 and fig5 rows lie on the region's boundary
+    inputs = {"fig2": 2, "fig3": 1, "fig4": 2, "fig5": 1}
+    for command, width in inputs.items():
+        for branch in ([None] if command == "fig2" else ["upper", "lower"]):
+            argv = [command, "--grid-points", str(n)] + (["--branch", branch] if branch else [])
+            rc, out, _ = run_cli(capsys, argv)
+            assert rc == 0
+            rows = [tuple(float(x) for x in row[:width]) for row in parse_csv(out)[2]]
+            assert len(rows) == (n * n if width == 2 else n), argv
+            assert all(a < b for a, b in zip(rows, rows[1:])), argv
+            if command in ("fig3", "fig5"):
+                _, (s1, s2, *_), _ = figure_table(argv)
+                assert np.all(acm_region_value(s1, s2) <= CONSTRAINT_SLACK), argv
 
 
 def test_float_formatting_is_nine_significant_digits(capsys):
