@@ -13,6 +13,14 @@ command, that command's parser reads the rest, and the top-level parser
 only handles a missing or unknown command, -h, and reports arguments the
 subcommand left over, with the messages and exit codes of one full parse.
 
+--output PATH rewrites the file in place: an existing file keeps its
+inode and its mode, so hard links and symlinks to it see the new CSV; a
+new one gets 0o666 less the umask.  The CSV is written over the old bytes from the
+start and the file is then cut to the new length, so a failed write
+leaves a prefix of the new CSV, never new bytes followed by old ones.
+The rewrite is not atomic and nothing is fsynced; to replace a file
+atomically, write to a new path and rename it over the old one.
+
 Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
 concurrence SVD fails to converge (the diagnostic names the failing
 computation) and when writing the CSV fails (it names the output, and may
@@ -27,8 +35,9 @@ import contextlib
 import functools
 import math
 import os
+import stat
 import sys
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -103,14 +112,37 @@ class _UsageError(Exception):
 
 
 def _open_output(path: str | None):
-    """stdout, or the file at ``path`` opened for writing; an unopenable
-    path is a usage error."""
+    """stdout, or the file at ``path`` opened for rewriting in place; an
+    unopenable path is a usage error."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="ascii", newline="\n")
+        # no O_TRUNC: truncating a file that holds data to length 0 makes
+        # ext4 start writeback at close; the stale tail is cut on exit
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise _UsageError(f"--output: {exc.strerror}: {path!r}") from exc
+    return _rewrite(fd)
+
+
+@contextlib.contextmanager
+def _rewrite(fd: int) -> Iterator[TextIO]:
+    """A text stream writing over ``fd`` from its start.  On exit, written
+    or not, a regular file is cut at the last byte that reached it, so it
+    never holds new bytes followed by old ones; other files (devices,
+    FIFOs) cannot be truncated and are left as they are."""
+    try:
+        with open(fd, "w", encoding="ascii", newline="\n", closefd=False) as fh:
+            yield fh
+    finally:
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if info.st_size > end:
+                    os.ftruncate(fd, end)
+        finally:
+            os.close(fd)
 
 
 def _machine_inputs(args) -> tuple:

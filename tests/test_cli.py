@@ -10,6 +10,7 @@ import io
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -328,13 +329,105 @@ def test_block_boundaries_leave_the_bytes_unchanged(capsys, monkeypatch):
 
 
 def test_failures_write_nothing_to_the_output_file(capsys, tmp_path, monkeypatch):
+    # a new path is not created, an existing file keeps its bytes
     path = tmp_path / "out.csv"
-    rc, _, err = run_cli(capsys, ["fig2", "--grid-points", "1002", "--output", str(path)])
-    assert rc == 2 and "--grid-points" in err
+    existing = tmp_path / "existing.csv"
+    old = b"# command: fig1\n# grid_points: 2\nalpha,eof_wzcm,eof_scm\n"
+    existing.write_bytes(old)
+    for target in (path, existing):
+        argv = ["fig2", "--grid-points", "1002", "--output", str(target)]
+        rc, _, err = run_cli(capsys, argv)
+        assert rc == 2 and "--grid-points" in err
     monkeypatch.setattr(qclone.analysis, "GL_ORDER", 2)
-    rc, _, err = run_cli(capsys, ["fig5", "--quad-tol", "1e-10", "--output", str(path)])
-    assert rc == 1 and "numeric failure" in err
+    for target in (path, existing):
+        argv = ["fig5", "--quad-tol", "1e-10", "--output", str(target)]
+        rc, _, err = run_cli(capsys, argv)
+        assert rc == 1 and "numeric failure" in err
     assert not path.exists()
+    assert existing.read_bytes() == old
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["fig2", "--grid-points", "41"], ["fig1", "--grid-points", "11"]),
+        (["fig1", "--grid-points", "11"], ["fig2", "--grid-points", "41"]),
+    ],
+    ids=["longer_then_shorter", "shorter_then_longer"],
+)
+def test_output_rewrites_an_existing_file_in_place(capsys, tmp_path, first, second):
+    path = tmp_path / "out.csv"
+    assert run_cli(capsys, [*first, "--output", str(path)])[0] == 0
+    inode = path.stat().st_ino
+    os.link(path, tmp_path / "hard.csv")
+    (tmp_path / "soft.csv").symlink_to(path)
+    assert run_cli(capsys, [*second, "--output", str(tmp_path / "soft.csv")])[0] == 0
+    rc, want, _ = run_cli(capsys, second)
+    assert rc == 0
+    assert path.stat().st_ino == inode
+    for name in ("out.csv", "hard.csv", "soft.csv"):
+        assert (tmp_path / name).read_bytes() == want.encode("ascii")
+
+
+def test_output_file_mode_follows_the_umask_or_is_kept(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    umask = os.umask(0o027)
+    try:
+        rc, _, _ = run_cli(capsys, ["fig1", "--grid-points", "3", "--output", str(path)])
+    finally:
+        os.umask(umask)
+    assert rc == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+    path.chmod(0o600)
+    rc, _, _ = run_cli(capsys, ["fig1", "--grid-points", "5", "--output", str(path)])
+    assert rc == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_output_to_dev_null_exits_zero(capsys):
+    rc, out, err = run_cli(capsys, ["fig1", "--grid-points", "11", "--output", "/dev/null"])
+    assert (rc, out, err) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_output_to_a_fifo_is_written_and_not_truncated(capsys, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a reader that is already open lets the writer's open return at once;
+    # fig1 at 11 points is far below a pipe buffer, so no write blocks
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        rc, out, err = run_cli(capsys, ["fig1", "--grid-points", "11", "--output", str(fifo)])
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert (rc, out, err) == (0, "", "")
+    assert data.decode("ascii") == run_cli(capsys, ["fig1", "--grid-points", "11"])[1]
+
+
+def test_failed_rewrite_leaves_a_prefix_of_the_new_csv(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"Z" * 100_000)
+    argv = ["fig1", "--grid-points", "11"]
+    rc, full, _ = run_cli(capsys, argv)
+    assert rc == 0
+    render = qclone.cli._render
+
+    def two_chunks_then_a_full_disk(*args, **kwargs):
+        chunks = render(*args, **kwargs)
+        yield next(chunks)
+        yield next(chunks)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", 1)
+    monkeypatch.setattr(qclone.cli, "_render", two_chunks_then_a_full_disk)
+    rc, out, err = run_cli(capsys, [*argv, "--output", str(path)])
+    assert rc == 1 and out == ""
+    assert err == f"qclone: write failure: {os.strerror(errno.ENOSPC)}: {str(path)!r}\n"
+    data = path.read_bytes()
+    assert data and b"Z" not in data
+    assert full.encode("ascii").startswith(data)
 
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory"])
@@ -451,15 +544,31 @@ def test_write_failures_exit_one(capsys, monkeypatch, tmp_path, code, target):
         monkeypatch.setattr(sys, "stdout", writer)
         name = "stdout"
     else:
-        path = str(tmp_path / "out.csv")
-        monkeypatch.setattr(qclone.cli, "open", lambda *args, **kwargs: writer, raising=False)
-        argv += ["--output", path]
-        name = repr(path)
+        # an existing file: the stream over the opened descriptor fails,
+        # and the rewrite still cuts the file and closes the descriptor
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"Z" * 1000)
+        fds = []
+
+        def failing_stream(fd, *args, **kwargs):
+            fds.append(fd)
+            return writer
+
+        monkeypatch.setattr(qclone.cli, "open", failing_stream, raising=False)
+        argv += ["--output", str(path)]
+        name = repr(str(path))
     if code == errno.EPIPE:
         assert isinstance(writer.exc, BrokenPipeError)
     rc, _, err = run_cli(capsys, argv)
     assert rc == 1
     assert err == f"qclone: write failure: {os.strerror(code)}: {name}\n"
+    if target == "file":
+        (fd,) = fds
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+        # no byte reached the file, so none of the old ones is left
+        assert path.read_bytes() == b""
 
 
 def run_script(*argv, **kwargs):
