@@ -87,18 +87,26 @@ def _wootters_eof(c: np.ndarray) -> np.ndarray:
     return ((y - 1.0) * np.log1p(-y) - y * np.log(np.maximum(y, _SMALLEST))) / math.log(2.0)
 
 
+def _family_eof(alpha, s):
+    """family_eof without its range check, for inputs already in [0, 1]:
+    float arrays (or a float alpha) that a caller built or checked itself."""
+    beta = np.sqrt(1.0 - alpha * alpha)
+    return _wootters_eof(np.minimum(np.maximum(2.0 * s * alpha * beta - (1.0 - s) / 2.0, 0.0), 1.0))
+
+
 def family_eof(alpha, s):
     """Entanglement of formation of the shrink-s clone of alpha|01> - beta|10>.
 
     Elementwise over broadcastable arrays of alpha and s, both in [0, 1]:
     C = max(0, 2 s alpha beta - (1-s)/2), then E = h((1 + sqrt(1 - C^2))/2).
+    This is the range check (NaN fails it) followed by :func:`_family_eof`,
+    which the figure commands call directly on the grids they build.
     """
     alpha = np.asarray(alpha, dtype=float)
     s = np.asarray(s, dtype=float)
-    if not (np.all((alpha >= 0.0) & (alpha <= 1.0)) and np.all((s >= 0.0) & (s <= 1.0))):
+    if not (((alpha >= 0.0) & (alpha <= 1.0)).all() and ((s >= 0.0) & (s <= 1.0)).all()):
         raise ValueError("alpha and s must lie in [0, 1]")
-    beta = np.sqrt(1.0 - alpha * alpha)
-    return _wootters_eof(np.clip(2.0 * s * alpha * beta - (1.0 - s) / 2.0, 0.0, 1.0))
+    return _family_eof(alpha, s)
 
 
 @functools.cache
@@ -135,7 +143,7 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     """
     _check_tol(tol)
     s = np.asarray(s, dtype=float)
-    if not np.all((s >= 0.0) & (s <= 1.0)):
+    if not ((s >= 0.0) & (s <= 1.0)).all():
         raise ValueError("shrink factors must lie in [0, 1]")
     col = s.reshape(-1, 1)
     # k >= 1, so theta1 = pi/4 and h = 0, for every s <= 1/3
@@ -144,7 +152,7 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     h = 0.25 * np.pi - theta1
     u2, w = _gl_rules(GL_ORDER)
     theta = theta1 + h * u2
-    c = np.clip(col * np.sin(2.0 * theta) - (1.0 - col) / 2.0, 0.0, 1.0)
+    c = np.minimum(np.maximum(col * np.sin(2.0 * theta) - (1.0 - col) / 2.0, 0.0), 1.0)
     # cos + sin = sqrt(2) sin(theta + pi/4)
     q = (_wootters_eof(c) * np.sin(theta + 0.25 * np.pi)) @ w
     q *= math.sqrt(2.0) * h

@@ -70,7 +70,8 @@ def _render(command: str, config, header: list[str], columns, missing=None) -> I
     standing for grid[index], as the repeat and tile layout of a 2-D sweep
     gives: each grid value is formatted once and each row takes its text
     by index.  ``missing`` is None or one mask (or None) per column;
-    masked points print as outside_region.
+    masked points print as outside_region and are never formatted, so a
+    masked cell may hold any float, NaN and Inf included.
     """
     lines = [f"# command: {command}"]
     for key, value in config:
@@ -97,13 +98,13 @@ def _render(command: str, config, header: list[str], columns, missing=None) -> I
         for j, (col, mask, code) in enumerate(zip(columns, masks, coded)):
             if code is not None:
                 table, index = code
-                part = table[index[lo : lo + m]]
+                cells[j::k] = table[index[lo : lo + m]].tolist()
+            elif mask is None:
+                cells[j::k] = col[lo : lo + m].tolist()
             else:
-                part = col[lo : lo + m]
-                if mask is not None:
-                    text = np.array(_texts(part), dtype=object)
-                    part = np.where(mask[lo : lo + m], "outside_region", text)
-            cells[j::k] = part.tolist()
+                hidden = mask[lo : lo + m]
+                texts = iter(_texts(col[lo : lo + m][~hidden]))
+                cells[j::k] = ["outside_region" if h else next(texts) for h in hidden.tolist()]
         yield row * m % tuple(cells)
 
 
@@ -167,6 +168,9 @@ def _machine_inputs(args) -> tuple:
 
 
 def _check_unit(flag: str, value: float) -> None:
+    # on the figure path this is the only range check --alpha gets: the
+    # figures call analysis._family_eof, which checks nothing, and NaN
+    # fails the chained comparison
     if not 0.0 <= value <= 1.0:
         raise _UsageError(f"{flag} must lie in [0, 1], got {value:g}")
 
@@ -186,11 +190,16 @@ def _check_tol(tol: float) -> None:
         raise _UsageError(f"--quad-tol: {exc}") from exc
 
 
+def _boundary(s1: np.ndarray, branch: str) -> np.ndarray:
+    """s2 on ``branch`` of the region boundary, clipped to [0, 1] against
+    rounding."""
+    return np.minimum(np.maximum(cloners.acm_boundary_s2(s1, branch), 0.0), 1.0)
+
+
 def _repeat_tile(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices of the outer (np.repeat) and inner (np.tile) input of
-    the rows of an n x n sweep."""
-    index = np.arange(n)
-    return np.repeat(index, n), np.tile(index, n)
+    """Grid indices of the outer and inner input of the rows of an n x n
+    sweep: row i takes i // n and i % n, the np.repeat and np.tile order."""
+    return np.divmod(np.arange(n * n), n)
 
 
 def _clone_matrix(args) -> tuple[np.ndarray, list[tuple[str, object]]]:
@@ -258,7 +267,7 @@ def _cmd_mean(args) -> Iterator[str]:
 def _cmd_fig1(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     grid = analysis.uniform_grid(args.grid_points)
-    wz, sc = analysis.family_eof(grid, [[1.0], [cloners.scm_shrink_factor(2)]])
+    wz, sc = analysis._family_eof(grid, np.array([[1.0], [cloners.scm_shrink_factor(2)]]))
     config = [("grid_points", args.grid_points)]
     return _render("fig1", config, ["alpha", "eof_wzcm", "eof_scm"], [grid, wz, sc])
 
@@ -269,7 +278,7 @@ def _cmd_fig2(args) -> Iterator[str]:
     grid = analysis.uniform_grid(args.grid_points)
     outer, inner = _repeat_tile(args.grid_points)
     s1, s2 = grid[outer], grid[inner]
-    eof = analysis.family_eof(args.alpha, grid)
+    eof = analysis._family_eof(args.alpha, grid)
     values = 0.5 * (eof[outer] + eof[inner])
     outside = cloners.acm_region_value(s1, s2) > cloners.CONSTRAINT_SLACK
     columns = [(grid, outer), (grid, inner), values, cloners.acm_degenerate(s1, s2)]
@@ -282,8 +291,8 @@ def _cmd_fig3(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
     grid = analysis.uniform_grid(args.grid_points)
-    s2 = np.clip(cloners.acm_boundary_s2(grid, args.branch), 0.0, 1.0)
-    eof = analysis.family_eof(args.alpha, np.stack((grid, s2)))
+    s2 = _boundary(grid, args.branch)
+    eof = analysis._family_eof(args.alpha, np.array((grid, s2)))
     columns = [grid, s2, 0.5 * (eof[0] + eof[1]), cloners.acm_degenerate(grid, s2)]
     config = [
         ("alpha", float(args.alpha)),
@@ -296,8 +305,8 @@ def _cmd_fig3(args) -> Iterator[str]:
 def _cmd_fig4(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     grid = analysis.uniform_grid(args.grid_points)
-    s2 = np.clip(cloners.acm_boundary_s2(grid, args.branch), 0.0, 1.0)
-    eof = analysis.family_eof(grid[:, None], np.stack((grid, s2))[:, None, :])
+    s2 = _boundary(grid, args.branch)
+    eof = analysis._family_eof(grid[:, None], np.array((grid, s2))[:, None, :])
     values = (0.5 * (eof[0] + eof[1])).ravel()
     outer, inner = _repeat_tile(args.grid_points)
     degenerate = cloners.acm_degenerate(grid, s2)[inner]
@@ -311,9 +320,9 @@ def _cmd_fig5(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     _check_tol(args.quad_tol)
     s1 = analysis.uniform_grid(args.grid_points)
-    s2 = np.clip(cloners.acm_boundary_s2(s1, args.branch), 0.0, 1.0)
+    s2 = _boundary(s1, args.branch)
     analysis._require_region(s1, s2)
-    means = analysis.family_mean(np.stack((s1, s2)), args.quad_tol).value
+    means = analysis.family_mean(np.array((s1, s2)), args.quad_tol).value
     mean_wz = analysis.mean_entanglement("wzcm", args.quad_tol).value
     mean_sc = analysis.mean_entanglement("scm", args.quad_tol).value
     value, degenerate = 0.5 * (means[0] + means[1]), cloners.acm_degenerate(s1, s2)

@@ -141,7 +141,7 @@ def acm_boundary_s2(s1, branch: str = "upper"):
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     s = np.asarray(s1, dtype=float)
-    if not np.all((s >= 0.0) & (s <= 1.0)):
+    if not ((s >= 0.0) & (s <= 1.0)).all():
         raise ValueError(f"s1 must lie in [0, 1], got {s1!r}")
     disc = 1.0 + 14.0 * s - 15.0 * s * s
     root = np.sqrt(np.maximum(disc, 0.0))

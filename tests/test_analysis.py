@@ -320,9 +320,42 @@ def test_family_eof_broadcasts_and_validates():
     assert family_eof(SINGLET, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert family_eof(0.6, [0.0, 1 / 3]).tolist() == [0.0, 0.0]
     assert family_eof(KERNEL_ALPHAS[:, None], KERNEL_SHRINKS).shape == (201, 23)
-    for alpha, s in ((1.5, 0.5), (0.5, -0.1), (math.nan, 0.5)):
+    for alpha, s in ((1.5, 0.5), (0.5, -0.1), (math.nan, 0.5), (0.5, math.nan)):
         with pytest.raises(ValueError):
             family_eof(alpha, s)
+    # one bad element inside an otherwise valid array, on either argument
+    for bad in (math.nan, -0.1, 1.1):
+        column = np.array([0.0, 0.5, bad, 1.0])
+        for alpha, s in ((column, 0.5), (0.5, column), (column[:, None], column)):
+            with pytest.raises(ValueError):
+                family_eof(alpha, s)
+
+
+def test_unchecked_kernel_matches_family_eof_bit_for_bit():
+    # the figure commands call _family_eof on the grids they build; on each
+    # input shape they pass it must give family_eof's exact bits
+    grid = uniform_grid(201)
+    s2 = np.clip(acm_boundary_s2(grid, "lower"), 0.0, 1.0)
+    shapes = (
+        (grid, np.array([[1.0], [scm_shrink_factor(2)]])),  # fig1
+        (SINGLET, grid),  # fig2
+        (0.6, np.array((grid, s2))),  # fig3
+        (grid[:, None], np.array((grid, s2))[:, None, :]),  # fig4
+    )
+    for alpha, s in shapes:
+        got = qclone.analysis._family_eof(alpha, s)
+        want = family_eof(alpha, s)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+def test_range_checks_reject_one_bad_element_in_an_array(bad):
+    column = np.array([0.0, 0.4, bad, 1.0])
+    with pytest.raises(ValueError):
+        acm_boundary_s2(column, "upper")
+    with pytest.raises(ValueError):
+        family_mean(column)
 
 
 def test_scalar_routes_match_the_kernel():

@@ -328,6 +328,40 @@ def test_block_boundaries_leave_the_bytes_unchanged(capsys, monkeypatch):
         assert [run_cli(capsys, argv)[1] for argv in argvs] == whole
 
 
+@pytest.mark.parametrize("pattern", ["all", "none", "mixed"])
+def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, pattern):
+    # 8 rows in blocks of 3; masked cells hold NaN and Inf, and only the
+    # unmasked cells may reach the formatter
+    monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", 3)
+    formatted = []
+    texts = qclone.cli._texts
+
+    def spy(values):
+        formatted.extend(values.tolist())
+        return texts(values)
+
+    monkeypatch.setattr(qclone.cli, "_texts", spy)
+    rows = 8
+    mask = {
+        "all": np.ones(rows, dtype=bool),
+        "none": np.zeros(rows, dtype=bool),
+        "mixed": np.array([False, True, True, True, False, False, True, False]),
+    }[pattern]
+    values = np.linspace(-1.0, 1.0, rows) / 3.0
+    values[mask] = np.resize([math.nan, math.inf, -math.inf], int(mask.sum()))
+    index = np.arange(rows)
+    columns = [index, values, index % 2 == 0]
+    chunks = list(qclone.cli._render("t", [], ["i", "v", "b"], columns, [None, mask, None]))
+    assert len(chunks) == 1 + 3
+    want = "# command: t\ni,v,b\n" + "".join(
+        "%d,%s,%s\n"
+        % (i, "outside_region" if m else "%.9g" % v, "true" if i % 2 == 0 else "false")
+        for i, v, m in zip(index.tolist(), values.tolist(), mask.tolist())
+    )
+    assert "".join(chunks) == want
+    assert formatted == values[~mask].tolist()
+
+
 def test_failures_write_nothing_to_the_output_file(capsys, tmp_path, monkeypatch):
     # a new path is not created, an existing file keeps its bytes
     path = tmp_path / "out.csv"
