@@ -4,8 +4,9 @@ The package simulates three cloning machines acting on the psi-minus family
 of partially entangled pairs: the extended Wootters-Zurek machine (wzcm),
 the symmetric universal machine (scm, any number of copies) and the
 asymmetric machine (acm, independent shrink factors for the two copies).
-Clone quality is measured by concurrence and entanglement of formation;
-the family's closed-form entanglement and its alpha averages live in
+:mod:`qclone.cloners` holds the table of what each machine does.  Clone
+quality is measured by concurrence and entanglement of formation; the
+family's closed-form entanglement and its alpha averages live in
 :mod:`qclone.analysis`, and the ``qclone`` console script emits the
 figures built from them as CSV.
 """
@@ -22,17 +23,15 @@ from .cloners import (
     ConstraintViolatedError,
     ShrinkParams,
     acm_boundary_s2,
-    acm_clone,
     acm_clone_closed,
     acm_degenerate,
     acm_region_value,
-    scm_clone,
+    clone,
+    family_shrink,
     scm_clone_closed,
-    scm_shrink_factor,
     shrink_map,
     wzcm_clone,
     wzcm_clone_closed,
-    wzcm_family_clone,
     wzcm_full_output,
 )
 from .entanglement import (
@@ -72,31 +71,29 @@ __all__ = [
     "QuadratureConvergenceError",
     "ShrinkParams",
     "acm_boundary_s2",
-    "acm_clone",
     "acm_clone_closed",
     "acm_degenerate",
     "acm_region_value",
     "bell_state",
+    "clone",
     "concurrence",
     "concurrence_xstate",
     "density_of",
     "eof_from_concurrence",
     "family_eof",
     "family_mean",
+    "family_shrink",
     "fidelity",
     "mean_entanglement",
     "mean_entanglement_acm",
     "partial_trace",
     "psi_minus_family",
-    "scm_clone",
     "scm_clone_closed",
-    "scm_shrink_factor",
     "shrink_map",
     "to_bell_basis",
     "uniform_grid",
     "wzcm_clone",
     "wzcm_clone_closed",
-    "wzcm_family_clone",
     "wzcm_full_output",
     "__version__",
 ]

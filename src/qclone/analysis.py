@@ -1,10 +1,10 @@
 """Entanglement of the family's clones and averages over the input family.
 
 The clone of alpha|01> - beta|10> under an isotropic shrink s is an X-state
-with concurrence C = max(0, 2 s alpha beta - (1-s)/2), where s = 1 for
-wzcm, (M+4)/(5M) for scm and s1 or s2 for acm.  :func:`family_eof` applies
-that closed form and Wootters' C -> EoF law elementwise, so each figure
-is one array expression over its whole grid.  :func:`family_mean`
+with concurrence C = max(0, 2 s alpha beta - (1-s)/2), where s is the
+copy's shrink, :func:`qclone.cloners.family_shrink`.  :func:`family_eof`
+applies that closed form and Wootters' C -> EoF law elementwise, so each
+figure is one array expression over its whole grid.  :func:`family_mean`
 integrates the same closed form over alpha for a whole array of shrinks
 at once, by Gauss-Legendre on the pieces where C > 0.
 """
@@ -22,7 +22,7 @@ from .cloners import (
     ConstraintViolatedError,
     ShrinkParams,
     acm_region_value,
-    scm_shrink_factor,
+    family_shrink,
 )
 
 #: default absolute tolerance of the quadratures.
@@ -40,8 +40,6 @@ GL_ORDER = 16
 GL_ROUNDOFF = 1e-13
 #: default number of grid points for figure sweeps.
 GRID_POINTS_DEFAULT = 201
-
-MACHINES = ("wzcm", "scm", "acm")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -180,14 +178,11 @@ def _require_region(s1, s2) -> None:
 
 
 def mean_entanglement(machine: str, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
-    """Entanglement of formation of one clone averaged over alpha in [0, 1]."""
-    if machine == "wzcm":
-        s = 1.0
-    elif machine == "scm":
-        s = scm_shrink_factor(2)
-    else:
-        raise ValueError(f"machine must be 'wzcm' or 'scm', got {machine!r}")
-    res = family_mean(s, tol)
+    """Entanglement of formation of one wzcm or two-copy scm clone averaged
+    over alpha in [0, 1]; an acm pair goes to :func:`mean_entanglement_acm`."""
+    if machine == "acm":
+        raise ValueError("an acm pair has two shrinks: use mean_entanglement_acm")
+    res = family_mean(family_shrink(machine), tol)
     return QuadratureResult(
         value=float(res.value),
         abs_error_estimate=float(res.abs_error_estimate),

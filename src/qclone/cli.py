@@ -146,25 +146,13 @@ def _rewrite(fd: int) -> Iterator[TextIO]:
             os.close(fd)
 
 
-def _machine_inputs(args) -> tuple:
-    """Validate the machine/parameter flag combination for clone/entangle."""
-    if args.clones is not None and args.machine != "scm":
-        raise _UsageError("--clones only applies to --machine scm")
-    if args.s1 is not None and args.machine != "acm":
-        raise _UsageError("--s1 only applies to --machine acm")
-    if args.machine == "wzcm":
-        return ("wzcm", None)
-    if args.machine == "scm":
-        count = 2 if args.clones is None else args.clones
-        try:
-            cloners.scm_shrink_factor(count)
-        except ValueError as exc:
-            raise _UsageError(f"--clones: {exc}") from exc
-        return ("scm", count)
-    if args.s1 is None:
-        raise _UsageError("--machine acm needs --s1")
-    _check_unit("--s1", args.s1)
-    return ("acm", args.s1)
+def _library_check(flag: str, check, *args):
+    """``check(*args)``, a ValueError it raises reported as a usage error
+    that names ``flag``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}") from exc
 
 
 def _check_unit(flag: str, value: float) -> None:
@@ -182,14 +170,6 @@ def _check_grid(n: int) -> None:
         raise _UsageError(f"--grid-points must be at most {GRID_POINTS_MAX}")
 
 
-def _check_tol(tol: float) -> None:
-    """The library's tolerance check, its error reported as a usage error."""
-    try:
-        analysis._check_tol(tol)
-    except ValueError as exc:
-        raise _UsageError(f"--quad-tol: {exc}") from exc
-
-
 def _boundary(s1: np.ndarray, branch: str) -> np.ndarray:
     """s2 on ``branch`` of the region boundary, clipped to [0, 1] against
     rounding."""
@@ -204,15 +184,22 @@ def _repeat_tile(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _clone_matrix(args) -> tuple[np.ndarray, list[tuple[str, object]]]:
     """The clone matrix for clone/entangle, with the config lines naming it."""
-    machine, param = _machine_inputs(args)
-    _check_unit("--alpha", args.alpha)
-    state = states.psi_minus_family(args.alpha)
-    config = [("machine", machine), ("alpha", float(args.alpha))]
-    if machine == "wzcm":
-        return cloners.wzcm_clone(states.to_bell_basis(state)), config
-    if machine == "scm":
-        return cloners.scm_clone(state, param), config + [("clones", param)]
-    return cloners.acm_clone(state, param), config + [("s1", float(param))]
+    if args.clones is not None and args.machine != "scm":
+        raise _UsageError("--clones only applies to --machine scm")
+    if args.s1 is not None and args.machine != "acm":
+        raise _UsageError("--s1 only applies to --machine acm")
+    if args.machine == "acm" and args.s1 is None:
+        raise _UsageError("--machine acm needs --s1")
+    state = _library_check("--alpha", states.psi_minus_family, args.alpha)
+    # of the machines' parameters only scm's --clones and acm's --s1 can fail
+    flag = "--s1" if args.machine == "acm" else "--clones"
+    rho = _library_check(flag, cloners.clone, state, args.machine, args.clones, args.s1)
+    config = [("machine", args.machine), ("alpha", float(args.alpha))]
+    if args.machine == "scm":
+        config.append(("clones", 2 if args.clones is None else args.clones))
+    elif args.machine == "acm":
+        config.append(("s1", float(args.s1)))
+    return rho, config
 
 
 def _cmd_clone(args) -> Iterator[str]:
@@ -242,15 +229,13 @@ def _cmd_entangle(args) -> Iterator[str]:
 
 
 def _cmd_mean(args) -> Iterator[str]:
-    _check_tol(args.quad_tol)
+    _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
     config = [("machine", args.machine), ("quad_tol", float(args.quad_tol))]
     if args.machine == "acm":
         if args.s1 is None or args.s2 is None:
             raise _UsageError("--machine acm needs both --s1 and --s2")
-        _check_unit("--s1", args.s1)
-        _check_unit("--s2", args.s2)
+        params = _library_check("--s1/--s2", cloners.ShrinkParams, args.s1, args.s2)
         config.extend([("s1", float(args.s1)), ("s2", float(args.s2))])
-        params = cloners.ShrinkParams(args.s1, args.s2)
         try:
             result = analysis.mean_entanglement_acm(params, args.quad_tol)
         except cloners.ConstraintViolatedError as exc:
@@ -267,7 +252,8 @@ def _cmd_mean(args) -> Iterator[str]:
 def _cmd_fig1(args) -> Iterator[str]:
     _check_grid(args.grid_points)
     grid = analysis.uniform_grid(args.grid_points)
-    wz, sc = analysis._family_eof(grid, np.array([[1.0], [cloners.scm_shrink_factor(2)]]))
+    shrinks = [[cloners.family_shrink("wzcm")], [cloners.family_shrink("scm")]]
+    wz, sc = analysis._family_eof(grid, np.array(shrinks))
     config = [("grid_points", args.grid_points)]
     return _render("fig1", config, ["alpha", "eof_wzcm", "eof_scm"], [grid, wz, sc])
 
@@ -318,7 +304,7 @@ def _cmd_fig4(args) -> Iterator[str]:
 
 def _cmd_fig5(args) -> Iterator[str]:
     _check_grid(args.grid_points)
-    _check_tol(args.quad_tol)
+    _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
     s1 = analysis.uniform_grid(args.grid_points)
     s2 = _boundary(s1, args.branch)
     analysis._require_region(s1, s2)
@@ -386,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("entangle", "entanglement report for a single clone"),
     ):
         p = add(name, help_text)
-        p.add_argument("--machine", choices=analysis.MACHINES, required=True)
+        p.add_argument("--machine", choices=cloners.MACHINES, required=True)
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--clones", type=int, default=None)
         p.add_argument("--s1", type=float, default=None)
 
     p = add("mean", "clone entanglement averaged over the input family")
-    p.add_argument("--machine", choices=analysis.MACHINES, required=True)
+    p.add_argument("--machine", choices=cloners.MACHINES, required=True)
     p.add_argument("--s1", type=float, default=None)
     p.add_argument("--s2", type=float, default=None)
     p.add_argument("--quad-tol", type=float, default=analysis.QUAD_DEFAULT_TOL)

@@ -1,15 +1,17 @@
-"""The three deterministic cloning transformations.
+"""The three cloning machines, and the one table of what each does.
 
-* ``wzcm_*`` -- the extended Wootters-Zurek machine, which copies the four
-  Bell states perfectly and an arbitrary two-qubit input as the Bell-diagonal
+* wzcm -- the extended Wootters-Zurek machine, which copies the four Bell
+  states perfectly and an arbitrary two-qubit input as the Bell-diagonal
   mixture of its Bell components.
-* ``scm_*`` -- the symmetric universal cloner producing M identical copies,
-  each shrunk by s(M) = (M+4)/(5M).
-* ``acm_*`` -- the asymmetric universal cloner producing two copies with
-  independent shrink factors (s1, s2) restricted by
-  4(1-s1-s2)^2 - (1-s1)(1-s2) <= 0.
+* scm -- the symmetric universal cloner producing M identical copies.
+* acm -- the asymmetric universal cloner producing two copies with
+  independent shrinks (s1, s2) restricted by
+  4(1-s1-s2)^2 - (1-s1)(1-s2) <= 0 (the ``acm_*`` region functions).
 
-Clone outputs are 4x4 density matrices over the computational basis.
+:func:`family_shrink` is the table: the shrink s of one copy of the family
+alpha|01> - beta|10>, whose concurrence is max(0, 2 s alpha beta - (1-s)/2).
+:func:`clone` builds one copy of any pure input, as a 4x4 density matrix
+over the computational basis.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import _shape4, as_state_vector
-from .states import BELL_MATRIX, density_of, psi_minus_family, to_bell_basis
+from .states import BELL_MATRIX, density_of, to_bell_basis
+
+#: the machines of the table, in the order the CLI offers them.
+MACHINES = ("wzcm", "scm", "acm")
 
 #: slack accepted when testing the asymmetric-cloner constraint.
 CONSTRAINT_SLACK = 1e-12
@@ -102,15 +107,6 @@ def wzcm_full_output(bell_coeffs) -> np.ndarray:
     return _WZCM_ISOMETRY @ as_state_vector(bell_coeffs, 4)
 
 
-def scm_shrink_factor(count: int) -> float:
-    """Shrink factor (M+4)/(5M) of the symmetric M-copy cloner."""
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-        raise ValueError(f"clone count must be an integer, got {count!r}")
-    if count < 2:
-        raise ValueError(f"clone count must be at least 2, got {count}")
-    return (count + 4) / (5 * count)
-
-
 def shrink_map(rho: np.ndarray, s: float) -> np.ndarray:
     """Isotropic shrink s*rho + (1-s)/4 * I of a two-qubit density matrix."""
     if not 0.0 <= s <= 1.0:
@@ -118,14 +114,40 @@ def shrink_map(rho: np.ndarray, s: float) -> np.ndarray:
     return s * _shape4(rho) + ((1.0 - s) / 4.0) * _IDENTITY4
 
 
-def scm_clone(state, count: int = 2) -> np.ndarray:
-    """Single-copy output of the symmetric M-copy cloner on a pure input."""
-    return shrink_map(density_of(state), scm_shrink_factor(count))
+def family_shrink(machine: str, clones: int | None = None, s: float | None = None) -> float:
+    """Shrink of one copy of the family under ``machine``.
+
+    scm shrinks each of its M = ``clones`` copies (2 when None) by
+    (M+4)/(5M), and an acm copy by its own ``s``, which must be given and
+    lie in [0, 1].  The wzcm copy is no shrink of the input but a mixture
+    of its two Bell components with the concurrence 2 alpha beta of the
+    input, which is the concurrence at s = 1.
+    """
+    if machine == "wzcm":
+        return 1.0
+    if machine == "scm":
+        count = 2 if clones is None else clones
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+            raise ValueError(f"clone count must be an integer, got {count!r}")
+        if count < 2:
+            raise ValueError(f"clone count must be at least 2, got {count}")
+        return (count + 4) / (5 * count)
+    if machine == "acm":
+        if s is None or not 0.0 <= s <= 1.0:
+            raise ValueError(f"s must lie in [0, 1], got {s!r}")
+        return s
+    raise ValueError(f"machine must be one of {MACHINES}, got {machine!r}")
 
 
-def acm_clone(state, s: float) -> np.ndarray:
-    """One copy of the asymmetric cloner: the input shrunk by factor s."""
-    return shrink_map(density_of(state), s)
+def clone(state, machine: str, clones: int | None = None, s: float | None = None) -> np.ndarray:
+    """One copy of the pure two-qubit ``state`` made by ``machine``.
+
+    wzcm mixes the state's Bell components; scm and acm shrink it by
+    ``family_shrink(machine, clones, s)``.
+    """
+    if machine == "wzcm":
+        return wzcm_clone(to_bell_basis(state))
+    return shrink_map(density_of(state), family_shrink(machine, clones, s))
 
 
 def acm_boundary_s2(s1, branch: str = "upper"):
@@ -198,8 +220,3 @@ def acm_clone_closed(alpha: float, s: float) -> np.ndarray:
     rho[1, 2] = -s * alpha * beta
     rho[2, 1] = -s * alpha * beta
     return rho
-
-
-def wzcm_family_clone(alpha: float) -> np.ndarray:
-    """WZCM clone of psi_minus_family(alpha) through the generic pipeline."""
-    return wzcm_clone(to_bell_basis(psi_minus_family(alpha)))

@@ -15,13 +15,11 @@ from qclone.analysis import uniform_grid
 from qclone.cli import main
 from qclone.cloners import (
     acm_boundary_s2,
-    acm_clone,
     acm_clone_closed,
-    scm_clone,
+    clone,
     scm_clone_closed,
     wzcm_clone,
     wzcm_clone_closed,
-    wzcm_family_clone,
 )
 from qclone.entanglement import SIGMA_Y_PAIR, concurrence, concurrence_xstate, fidelity
 from qclone.states import (
@@ -71,7 +69,7 @@ def test_criterion_01_mean_entanglement_constants():
 
 
 def test_criterion_02_singlet_reduction_factor():
-    eof = concurrence(scm_clone(psi_minus_family(SINGLET_ALPHA), 2)).eof
+    eof = concurrence(clone(psi_minus_family(SINGLET_ALPHA), "scm")).eof
     _report(2, "singlet reduction factor", 0.245 <= eof <= 0.255)
 
 
@@ -79,7 +77,7 @@ def test_criterion_03_wzcm_preservation():
     worst = 0.0
     for alpha in uniform_grid(201):
         e_in = concurrence(density_of(psi_minus_family(alpha))).eof
-        e_out = concurrence(wzcm_family_clone(alpha)).eof
+        e_out = concurrence(clone(psi_minus_family(alpha), "wzcm")).eof
         worst = max(worst, abs(e_out - e_in))
     _report(3, "wzcm preservation", worst <= 1e-10)
 
@@ -101,7 +99,7 @@ def test_criterion_04_wzcm_fidelity_extremes():
 
 def test_criterion_05_clone_count_threshold():
     state = psi_minus_family(SINGLET_ALPHA)
-    cs = {m: concurrence(scm_clone(state, m)).concurrence for m in range(2, 9)}
+    cs = {m: concurrence(clone(state, "scm", m)).concurrence for m in range(2, 9)}
     ok = all(cs[m] > 0.0 for m in (2, 3, 4, 5))
     ok = ok and all(abs(cs[m]) <= 1e-12 for m in (6, 7, 8))
     _report(5, "clone count threshold", ok)
@@ -115,14 +113,14 @@ def test_criterion_06_closed_form_equivalence():
         worst = max(
             worst,
             np.max(np.abs(wzcm_clone(to_bell_basis(state)) - wzcm_clone_closed(alpha))),
-            np.max(np.abs(scm_clone(state, 2) - scm_clone_closed(alpha))),
+            np.max(np.abs(clone(state, "scm") - scm_clone_closed(alpha))),
         )
         for s in np.linspace(0.0, 1.0, 21):
             worst = max(
                 worst,
-                np.max(np.abs(acm_clone(state, s) - acm_clone_closed(alpha, s))),
+                np.max(np.abs(clone(state, "acm", s=s) - acm_clone_closed(alpha, s))),
             )
-        exact = exact and np.array_equal(acm_clone(state, 3 / 5), scm_clone(state, 2))
+        exact = exact and np.array_equal(clone(state, "acm", s=3 / 5), clone(state, "scm"))
     _report(6, "closed form equivalence", worst <= 1e-12 and exact)
 
 
@@ -156,7 +154,7 @@ def test_criterion_08_figure_shape_properties(tmp_path):
     path = tmp_path / "fig.csv"
     fig3 = ["fig3", "--branch", "upper", "--alpha", repr(SINGLET_ALPHA), "--grid-points", "201"]
     s1_min, v_min = _figure_minimum(fig3, path)
-    scm_singlet = concurrence(scm_clone(psi_minus_family(SINGLET_ALPHA), 2)).eof
+    scm_singlet = concurrence(clone(psi_minus_family(SINGLET_ALPHA), "scm")).eof
     ok = abs(s1_min - 3 / 5) <= 1e-12 and abs(v_min - scm_singlet) <= 1e-3
 
     fig5 = ["fig5", "--branch", "upper", "--quad-tol", "1e-7", "--grid-points", "201"]
@@ -170,12 +168,12 @@ def test_criterion_09_oracle_suite():
     for alpha in np.linspace(0.0, 1.0, 101):
         state = psi_minus_family(alpha)
         outputs = [
-            wzcm_family_clone(alpha),
-            scm_clone(state, 2),
-            scm_clone(state, 5),
-            acm_clone(state, 0.9),
-            acm_clone(state, 0.5),
-            acm_clone(state, 0.1),
+            clone(psi_minus_family(alpha), "wzcm"),
+            clone(state, "scm"),
+            clone(state, "scm", 5),
+            clone(state, "acm", s=0.9),
+            clone(state, "acm", s=0.5),
+            clone(state, "acm", s=0.1),
         ]
         for rho in outputs:
             gap = abs(concurrence(rho).concurrence - concurrence_xstate(rho))

@@ -23,16 +23,15 @@ from qclone.analysis import (
 )
 from qclone.cloners import (
     CONSTRAINT_SLACK,
+    MACHINES,
     ConstraintViolatedError,
     ShrinkParams,
     acm_boundary_s2,
-    acm_clone,
     acm_clone_closed,
     acm_degenerate,
     acm_region_value,
-    scm_clone,
-    scm_shrink_factor,
-    wzcm_family_clone,
+    clone,
+    family_shrink,
 )
 from qclone.cli import main
 from qclone.entanglement import concurrence, concurrence_xstate, eof_from_concurrence
@@ -44,7 +43,7 @@ SINGLET = 1 / math.sqrt(2)
 #: 200 evenly spaced alphas plus the singlet.
 KERNEL_ALPHAS = np.union1d(np.linspace(0.0, 1.0, 200), [SINGLET])
 #: 21 evenly spaced shrinks plus the separability threshold 1/3 and s(M=3).
-KERNEL_SHRINKS = np.union1d(np.linspace(0.0, 1.0, 21), [1 / 3, scm_shrink_factor(3)])
+KERNEL_SHRINKS = np.union1d(np.linspace(0.0, 1.0, 21), [1 / 3, family_shrink("scm", 3)])
 
 
 def midpoint_rule(f, n=100_000):
@@ -92,7 +91,7 @@ def test_entanglement_curve_wzcm_equals_input_entanglement():
 
 def test_entanglement_curve_scm_peaks_at_maximal_input_entanglement():
     grid = uniform_grid(101)
-    curve = family_eof(grid, scm_shrink_factor(2))
+    curve = family_eof(grid, family_shrink("scm"))
     assert abs(grid[np.argmax(curve)] - 1 / math.sqrt(2)) <= 0.01  # nearest grid point
     assert curve[0] == 0.0 and curve[-1] == 0.0  # product inputs stay separable
 
@@ -144,7 +143,7 @@ def test_mean_entanglement_matches_midpoint_rule():
     wz = mean_entanglement("wzcm", 1e-7)
     assert abs(wz.value - midpoint_rule(lambda a: family_eof(a, 1.0))) < 1e-5
     sc = mean_entanglement("scm", 1e-7)
-    assert abs(sc.value - midpoint_rule(lambda a: family_eof(a, scm_shrink_factor(2)))) < 1e-5
+    assert abs(sc.value - midpoint_rule(lambda a: family_eof(a, family_shrink("scm")))) < 1e-5
 
 
 def test_halving_the_tolerance_is_self_consistent():
@@ -158,7 +157,7 @@ def test_symmetric_machines_never_raise_entanglement():
     # shrinking cannot create entanglement on the input family
     for alpha in np.linspace(0.0, 1.0, 41):
         e_in = eof_from_concurrence(2 * alpha * math.sqrt(1 - alpha * alpha))
-        assert family_eof(alpha, scm_shrink_factor(2)) <= e_in + 1e-12
+        assert family_eof(alpha, family_shrink("scm")) <= e_in + 1e-12
         for s in np.linspace(0.0, 1.0, 11):
             assert family_eof(alpha, s) <= e_in + 1e-12
 
@@ -235,7 +234,7 @@ def test_mean_sweep_dips_at_the_symmetric_point():
 
 def test_scm_multiclone_entanglement_series():
     state = psi_minus_family(1 / math.sqrt(2))
-    cs = [concurrence(scm_clone(state, m)).concurrence for m in range(2, 9)]
+    cs = [concurrence(clone(state, "scm", m)).concurrence for m in range(2, 9)]
     assert all(a >= b for a, b in zip(cs, cs[1:]))  # more copies, less entanglement
     assert cs[0] > cs[3] > 0.0  # M = 2..5 still entangled
     assert cs[4] == cs[5] == cs[6] == 0.0  # M >= 6 separable
@@ -284,15 +283,27 @@ def test_family_eof_matches_xstate_closed_form():
             assert abs(got[i, j] - want) <= 1e-12, (alpha, s)
 
 
-def test_family_eof_matches_generic_pipeline():
-    # the generic singular-value route on the clones the machines build
-    got = family_eof(KERNEL_ALPHAS[:, None], KERNEL_SHRINKS[None, :])
+#: the parameters each machine of the table is tested at, as keyword
+#: arguments of family_shrink and clone.
+MACHINE_PARAMETERS = {
+    "wzcm": [{}],
+    "scm": [{"clones": m} for m in range(2, 7)],
+    "acm": [{"s": s} for s in KERNEL_SHRINKS.tolist()],
+}
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_family_eof_matches_generic_pipeline(machine):
+    # the kernel at the table's shrink against the generic singular-value
+    # route on the clone the machine builds, for every row of the table
+    cases = MACHINE_PARAMETERS[machine]
+    shrinks = np.array([family_shrink(machine, **kwargs) for kwargs in cases])
+    got = family_eof(KERNEL_ALPHAS[:, None], shrinks[None, :])
     for i, alpha in enumerate(KERNEL_ALPHAS):
         state = psi_minus_family(alpha)
-        for j, s in enumerate(KERNEL_SHRINKS):
-            assert abs(got[i, j] - concurrence(acm_clone(state, s)).eof) <= 1e-10, (alpha, s)
-        wz = concurrence(wzcm_family_clone(alpha)).eof
-        assert abs(got[i, -1] - wz) <= 1e-10, alpha
+        for j, kwargs in enumerate(cases):
+            want = concurrence(clone(state, machine, **kwargs)).eof
+            assert abs(got[i, j] - want) <= 1e-10, (alpha, kwargs)
 
 
 def test_wzcm_curve_is_exact_next_to_the_singlet():
@@ -337,7 +348,7 @@ def test_unchecked_kernel_matches_family_eof_bit_for_bit():
     grid = uniform_grid(201)
     s2 = np.clip(acm_boundary_s2(grid, "lower"), 0.0, 1.0)
     shapes = (
-        (grid, np.array([[1.0], [scm_shrink_factor(2)]])),  # fig1
+        (grid, np.array([[1.0], [family_shrink("scm")]])),  # fig1
         (SINGLET, grid),  # fig2
         (0.6, np.array((grid, s2))),  # fig3
         (grid[:, None], np.array((grid, s2))[:, None, :]),  # fig4
@@ -363,7 +374,7 @@ def test_scalar_routes_match_the_kernel():
     for alpha in (0.0, 0.3, SINGLET, 0.9, 1.0):
         state = psi_minus_family(alpha)
         for s1, s2 in ((1.0, 0.0), (0.8, 0.3), (0.6, 0.6)):
-            e1, e2 = (concurrence(acm_clone(state, s)).eof for s in (s1, s2))
+            e1, e2 = (concurrence(clone(state, "acm", s=s)).eof for s in (s1, s2))
             want = 0.5 * (e1 + e2)
             got = acm_average(alpha, ShrinkParams(s1, s2))
             assert abs(got - want) <= 1e-10

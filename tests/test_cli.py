@@ -31,10 +31,11 @@ from qclone.cloners import (
     acm_boundary_s2,
     acm_clone_closed,
     acm_region_value,
-    scm_shrink_factor,
-    wzcm_family_clone,
+    clone,
+    family_shrink,
 )
 from qclone.entanglement import concurrence
+from qclone.states import psi_minus_family
 
 from figure_table import figure_table
 
@@ -205,12 +206,37 @@ def test_clone_rejects_mismatched_flags(capsys):
 @pytest.mark.parametrize("command", ["clone", "entangle"])
 @pytest.mark.parametrize("clones", [1, 0, -3])
 def test_too_few_clones_is_a_usage_error(capsys, command, clones):
-    # the count is checked once, by scm_shrink_factor, and its message is
-    # reported as a usage error
+    # the count is checked once, by cloners.family_shrink, and its message
+    # is reported as a usage error
     argv = [command, "--machine", "scm", "--alpha", "0.6", "--clones", str(clones)]
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2 and out == ""
     assert err == f"qclone: error: --clones: clone count must be at least 2, got {clones}\n"
+
+
+@pytest.mark.parametrize("value", ["-0.1", "1.1", "nan"])
+@pytest.mark.parametrize(
+    "named, argv",
+    [
+        ("--s1/--s2: s1", ["mean", "--machine", "acm", "--s1", "{}", "--s2", "0.48"]),
+        ("--s1/--s2: s2", ["mean", "--machine", "acm", "--s1", "0.7", "--s2", "{}"]),
+        ("--s1: s", ["clone", "--machine", "acm", "--s1", "{}", "--alpha", "0.6"]),
+        ("--alpha: alpha", ["clone", "--machine", "scm", "--alpha", "{}"]),
+        ("--s1: s", ["entangle", "--machine", "acm", "--s1", "{}", "--alpha", "0.6"]),
+        ("--alpha: alpha", ["entangle", "--machine", "wzcm", "--alpha", "{}"]),
+    ],
+)
+def test_unit_interval_flags_use_the_library_checks(capsys, tmp_path, named, argv, value):
+    # the library's own range check, reported as a usage error naming the
+    # flag; nothing reaches stdout or an existing --output file
+    argv = [x.format(value) for x in argv]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == f"qclone: error: {named} must lie in [0, 1], got {value}\n"
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"old\n")
+    assert run_cli(capsys, argv + ["--output", str(existing)]) == (2, "", err)
+    assert existing.read_bytes() == b"old\n"
 
 
 def test_entangle_reports_match_api(capsys):
@@ -219,7 +245,7 @@ def test_entangle_reports_match_api(capsys):
     _, header, rows = parse_csv(out)
     assert header[:3] == ["alpha", "concurrence", "eof"]
     assert header[-1] == "fidelity"
-    report = concurrence(wzcm_family_clone(0.6))
+    report = concurrence(clone(psi_minus_family(0.6), "wzcm"))
     assert abs(float(rows[0][1]) - report.concurrence) < 1e-8
     assert abs(float(rows[0][2]) - report.eof) < 1e-8
     lambdas = [float(x) for x in rows[0][3:7]]
@@ -235,7 +261,7 @@ def test_fig1_matches_curve_api(capsys):
     assert len(rows) == 11
     grid = uniform_grid(11)
     wz = family_eof(grid, 1.0)
-    sc = family_eof(grid, scm_shrink_factor(2))
+    sc = family_eof(grid, family_shrink("scm"))
     for row, alpha, e_wz, e_sc in zip(rows, grid, wz, sc):
         assert abs(float(row[0]) - alpha) < 1e-8
         assert abs(float(row[1]) - e_wz) < 1e-8
@@ -647,7 +673,7 @@ def test_figure_columns_are_the_kernel_and_sweep_bits(branch):
     _, (alpha, wz, sc), _ = figure_table(["fig1", "--grid-points", "41"])
     assert np.array_equal(alpha, grid)
     assert np.array_equal(wz, family_eof(grid, 1.0))
-    assert np.array_equal(sc, family_eof(grid, scm_shrink_factor(2)))
+    assert np.array_equal(sc, family_eof(grid, family_shrink("scm")))
     _, (s1, s2, value, _), _ = figure_table(["fig2", "--alpha", "0.6", "--grid-points", "41"])
     assert np.array_equal(s1, outer) and np.array_equal(s2, inner)
     assert np.array_equal(value, 0.5 * (family_eof(0.6, outer) + family_eof(0.6, inner)))

@@ -9,17 +9,15 @@ from qclone.cloners import (
     CONSTRAINT_SLACK,
     ShrinkParams,
     acm_boundary_s2,
-    acm_clone,
     acm_clone_closed,
     acm_degenerate,
     acm_region_value,
-    scm_clone,
+    clone,
+    family_shrink,
     scm_clone_closed,
-    scm_shrink_factor,
     shrink_map,
     wzcm_clone,
     wzcm_clone_closed,
-    wzcm_family_clone,
     wzcm_full_output,
 )
 from qclone.entanglement import fidelity
@@ -41,13 +39,13 @@ SHRINKS = np.linspace(0.0, 1.0, 21)
 
 def test_wzcm_closed_form_agreement():
     for alpha in ALPHAS:
-        got = wzcm_family_clone(alpha)
+        got = clone(psi_minus_family(alpha), "wzcm")
         assert np.max(np.abs(got - wzcm_clone_closed(alpha))) <= 1e-12
 
 
 def test_scm_closed_form_agreement():
     for alpha in ALPHAS:
-        got = scm_clone(psi_minus_family(alpha), 2)
+        got = clone(psi_minus_family(alpha), "scm")
         assert np.max(np.abs(got - scm_clone_closed(alpha))) <= 1e-12
 
 
@@ -55,15 +53,15 @@ def test_acm_closed_form_agreement():
     for alpha in ALPHAS[::4]:
         state = psi_minus_family(alpha)
         for s in SHRINKS:
-            got = acm_clone(state, s)
+            got = clone(state, "acm", s=s)
             assert np.max(np.abs(got - acm_clone_closed(alpha, s))) <= 1e-12
 
 
 def test_clone_outputs_are_density_matrices():
     for alpha in (0.0, 0.3, 1 / math.sqrt(2), 0.9, 1.0):
-        assert_density_matrix(wzcm_family_clone(alpha))
-        assert_density_matrix(scm_clone(psi_minus_family(alpha), 2))
-        assert_density_matrix(acm_clone(psi_minus_family(alpha), 0.7))
+        assert_density_matrix(clone(psi_minus_family(alpha), "wzcm"))
+        assert_density_matrix(clone(psi_minus_family(alpha), "scm"))
+        assert_density_matrix(clone(psi_minus_family(alpha), "acm", s=0.7))
 
 
 def test_wzcm_clones_bell_states_perfectly():
@@ -128,19 +126,31 @@ def test_wzcm_machine_record_is_diagonal_in_weights():
     assert np.max(np.abs(machine - np.diag(weights))) < 1e-13
 
 
-def test_scm_shrink_factor_values():
-    assert scm_shrink_factor(2) == 3 / 5
-    assert scm_shrink_factor(5) == 9 / 25
-    assert abs(scm_shrink_factor(10**6) - 0.2) < 1e-6  # -> 1/5 for many copies
+def test_family_shrink_table():
+    assert family_shrink("wzcm") == 1.0
+    assert family_shrink("scm") == family_shrink("scm", 2) == 3 / 5
+    assert family_shrink("scm", 5) == 9 / 25
+    assert abs(family_shrink("scm", 10**6) - 0.2) < 1e-6  # -> 1/5 for many copies
+    assert family_shrink("acm", s=0.35) == 0.35
 
 
-def test_scm_shrink_factor_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        scm_shrink_factor(1)
-    with pytest.raises(ValueError):
-        scm_shrink_factor(2.0)
-    with pytest.raises(ValueError):
-        scm_shrink_factor(True)
+@pytest.mark.parametrize(
+    "machine, kwargs, message",
+    [
+        ("scm", {"clones": 1}, "at least 2"),
+        ("scm", {"clones": 2.0}, "must be an integer"),
+        ("scm", {"clones": True}, "must be an integer"),
+        ("acm", {}, "got None"),
+        ("acm", {"s": 1.1}, "must lie in"),
+        ("acm", {"s": math.nan}, "must lie in"),
+        ("lcm", {}, "machine must be one of"),
+    ],
+)
+def test_family_shrink_rejects_bad_inputs(machine, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        family_shrink(machine, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        clone(psi_minus_family(0.6), machine, **kwargs)
 
 
 def test_shrink_map_limits():
@@ -156,7 +166,7 @@ def test_shrink_map_limits():
 def test_acm_at_scm_shrink_is_bitwise_scm():
     for alpha in (0.0, 0.25, 1 / math.sqrt(2), 0.87, 1.0):
         state = psi_minus_family(alpha)
-        assert np.array_equal(acm_clone(state, 3 / 5), scm_clone(state, 2))
+        assert np.array_equal(clone(state, "acm", s=0.6), clone(state, "scm"))
 
 
 def test_shrink_params_validation_and_constraint():

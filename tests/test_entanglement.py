@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclone.cloners import (
-    acm_clone,
-    scm_clone,
-    scm_shrink_factor,
-    wzcm_family_clone,
-)
+from qclone.cloners import clone, family_shrink
 from qclone.entanglement import (
     _FLIP_SIGNS,
     EntanglementReport,
@@ -243,10 +238,10 @@ def test_generic_matches_xstate_closed_form_on_cloner_outputs():
     for alpha in np.linspace(0.0, 1.0, 101):
         state = psi_minus_family(alpha)
         for rho in (
-            wzcm_family_clone(alpha),
-            scm_clone(state, 2),
-            acm_clone(state, 0.85),
-            acm_clone(state, 0.45),
+            clone(psi_minus_family(alpha), "wzcm"),
+            clone(state, "scm"),
+            clone(state, "acm", s=0.85),
+            clone(state, "acm", s=0.45),
         ):
             assert abs(concurrence(rho).concurrence - concurrence_xstate(rho)) <= 1e-9
 
@@ -254,14 +249,14 @@ def test_generic_matches_xstate_closed_form_on_cloner_outputs():
 def test_wzcm_preserves_input_entanglement():
     for alpha in np.linspace(0.0, 1.0, 201):
         e_in = concurrence(density_of(psi_minus_family(alpha))).eof
-        e_out = concurrence(wzcm_family_clone(alpha)).eof
+        e_out = concurrence(clone(psi_minus_family(alpha), "wzcm")).eof
         assert abs(e_out - e_in) <= 1e-10
 
 
 def test_wzcm_clone_concurrence_is_two_alpha_beta():
     for alpha in np.linspace(0.0, 1.0, 101):
         beta = math.sqrt(1 - alpha * alpha)
-        got = concurrence(wzcm_family_clone(alpha)).concurrence
+        got = concurrence(clone(psi_minus_family(alpha), "wzcm")).concurrence
         assert abs(got - 2 * alpha * beta) < 1e-12
 
 
@@ -270,7 +265,7 @@ def test_wzcm_clone_spectrum_next_to_the_singlet_matches_mpmath():
     # root of an eigenvalue of rho rho~ it would carry an error of
     # ~eps / (2 lambda2), and a zero-floor on that eigenvalue biases C
     for alpha in np.linspace(-2e-3, 2e-3, 81) + 1 / math.sqrt(2):
-        report = concurrence(wzcm_family_clone(alpha))
+        report = concurrence(clone(psi_minus_family(alpha), "wzcm"))
         with mpmath.workdps(40):
             a = mpmath.mpf(float(alpha))
             b = mpmath.sqrt(1 - a * a)
@@ -284,9 +279,9 @@ def test_scm_singlet_concurrence_follows_shrink_law():
     # C = max(0, (3s - 1)/2) for the maximally entangled input
     singlet = psi_minus_family(1 / math.sqrt(2))
     for count in range(2, 9):
-        s = scm_shrink_factor(count)
+        s = family_shrink("scm", count)
         want = max(0.0, (3 * s - 1) / 2)
-        got = concurrence(scm_clone(singlet, count)).concurrence
+        got = concurrence(clone(singlet, "scm", count)).concurrence
         assert abs(got - want) < 1e-12
 
 
@@ -298,12 +293,12 @@ def test_scm_entanglement_dies_at_weak_inputs():
     inside = 0.17  # 2ab = 0.335 > 1/3
     outside = 0.16  # 2ab = 0.316 < 1/3
     assert threshold_gap(inside) > 0 > threshold_gap(outside)
-    assert concurrence(scm_clone(psi_minus_family(inside), 2)).concurrence > 0.0
-    assert concurrence(scm_clone(psi_minus_family(outside), 2)).concurrence == 0.0
+    assert concurrence(clone(psi_minus_family(inside), "scm")).concurrence > 0.0
+    assert concurrence(clone(psi_minus_family(outside), "scm")).concurrence == 0.0
 
 
 def test_concurrence_report_fields():
-    report = concurrence(wzcm_family_clone(0.6))
+    report = concurrence(clone(psi_minus_family(0.6), "wzcm"))
     assert isinstance(report, EntanglementReport)
     assert len(report.lambdas) == 4
     assert report.method == "generic"
@@ -325,7 +320,7 @@ def test_concurrence_of_bell_projector_is_one():
 def test_concurrence_rejects_a_trace_off_one():
     # scaling rho scales every l_i: at trace 3 this C of 0.850 would clip to 1
     alpha, s = 0.7, 0.9
-    rho = acm_clone(psi_minus_family(alpha), s)
+    rho = clone(psi_minus_family(alpha), "acm", s=s)
     want = 2 * s * alpha * math.sqrt(1 - alpha * alpha) - (1 - s) / 2
     assert abs(concurrence(rho).concurrence - want) < 1e-12
     for scale in (3.0, 0.5, 1.0 + 1e-9):
@@ -335,7 +330,7 @@ def test_concurrence_rejects_a_trace_off_one():
 
 
 def test_concurrence_rejects_non_hermitian_indefinite_and_nan_input():
-    rho = acm_clone(psi_minus_family(0.7), 0.9)
+    rho = clone(psi_minus_family(0.7), "acm", s=0.9)
     skewed = rho.copy()
     skewed[0, 1] += 1e-6
     with pytest.raises(NotHermitianError):
@@ -356,7 +351,7 @@ def test_concurrence_rejects_non_hermitian_indefinite_and_nan_input():
 def test_xstate_concurrence_rejects_a_trace_off_one():
     # at trace 3 the closed form read C = 2.549, a concurrence above 1
     alpha, s = 0.7, 0.9
-    rho = acm_clone(psi_minus_family(alpha), s)
+    rho = clone(psi_minus_family(alpha), "acm", s=s)
     want = 2 * s * alpha * math.sqrt(1 - alpha * alpha) - (1 - s) / 2
     assert abs(concurrence_xstate(rho) - want) < 1e-12
     for scale in (3.0, 0.5, 1.0 + 1e-9):
@@ -378,14 +373,14 @@ def test_fidelity_reference_points():
     assert abs(fidelity(state, density_of(state)) - 1.0) < 1e-14
     assert abs(fidelity(state, np.eye(4, dtype=np.complex128) / 4.0) - 0.25) < 1e-14
     # shrink-map output interpolates linearly: F = s + (1-s)/4
-    assert abs(fidelity(state, acm_clone(state, 0.8)) - 0.85) < 1e-14
+    assert abs(fidelity(state, clone(state, "acm", s=0.8)) - 0.85) < 1e-14
 
 
 def test_fidelity_of_two_copy_scm_is_seven_tenths_for_any_input():
     rng = np.random.default_rng(69)
     for _ in range(50):
         v = random_pure(rng)
-        assert abs(fidelity(v, scm_clone(v, 2)) - 0.7) < 1e-13
+        assert abs(fidelity(v, clone(v, "scm")) - 0.7) < 1e-13
 
 
 def test_fidelity_rejects_unnormalized_reference():
@@ -396,7 +391,7 @@ def test_fidelity_rejects_unnormalized_reference():
 def test_fidelity_rejects_a_trace_off_one():
     # F = s + (1 - s)/4 = 0.925; at trace 3 it read 3 * 0.925, clamped to 1
     state = psi_minus_family(0.7)
-    rho = acm_clone(state, 0.9)
+    rho = clone(state, "acm", s=0.9)
     assert abs(fidelity(state, rho) - 0.925) < 1e-14
     for scale in (3.0, 0.5):
         with pytest.raises(NotNormalizedError):

@@ -57,7 +57,7 @@ def _is_public_in(module, name):
 def test_benchmark_hooked_functions():
     assert _is_public_in(qclone.qmath, "hermitian_eigen")
     assert _is_public_in(qclone.entanglement, "concurrence")
-    rho = qclone.scm_clone(qclone.psi_minus_family(0.6), 2)
+    rho = qclone.clone(qclone.psi_minus_family(0.6), "scm")
     assert qclone.concurrence(rho).method == "generic"
     coeffs = np.array([0.5, 0.5j, -0.5, 0.5])
     reduced = qclone.partial_trace(qclone.wzcm_full_output(coeffs), "clone1")
