@@ -28,7 +28,6 @@ from .cloners import (
     acm_region_value,
     clone,
     family_shrink,
-    scm_clone_closed,
     shrink_map,
     wzcm_clone,
     wzcm_clone_closed,
@@ -88,7 +87,6 @@ __all__ = [
     "mean_entanglement_acm",
     "partial_trace",
     "psi_minus_family",
-    "scm_clone_closed",
     "shrink_map",
     "to_bell_basis",
     "uniform_grid",

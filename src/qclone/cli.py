@@ -1,12 +1,16 @@
 """Command-line interface emitting deterministic CSV data series.
 
-Output format, shared by every command: zero or more `# key: value` comment
-lines recording the exact configuration, one header row naming the columns,
-then data rows.  Fields are comma-separated, floats carry 9 significant
-digits, line endings are Unix.  Identical flags produce identical bytes.
-Each command computes its table as numpy columns before a byte is written,
-so numeric and usage failures write nothing; the rows are then formatted
-and written BLOCK_ROWS at a time, never held as one string.
+Output format, shared by every command: `# key: value` comment lines
+recording the exact configuration, one header row naming the columns,
+then data rows.  The comment lines are `# command: NAME`, then one line
+per flag other than --output whose value is not None, keyed by its
+argparse name (`--grid-points` is `grid_points`), in the order the
+command declares its flags, floats by repr; an unset scm --clones is
+written as the 2 it stands for.  Fields are comma-separated, floats carry
+9 significant digits, line endings are Unix.  Identical flags produce
+identical bytes.  Each command returns its table as numpy columns before
+a byte is written, so numeric and usage failures write nothing; main then
+formats and writes the rows BLOCK_ROWS at a time, never held as one string.
 
 Flags are parsed at the subcommand: when the first argument names a
 command, that command's parser reads the rest, and the top-level parser
@@ -163,16 +167,20 @@ def _check_unit(flag: str, value: float) -> None:
         raise _UsageError(f"{flag} must lie in [0, 1], got {value:g}")
 
 
-def _check_grid(n: int) -> None:
+def _grid(n: int) -> np.ndarray:
+    """The uniform grid of --grid-points ``n`` points, ``n`` checked first."""
     if n < 2:
         raise _UsageError("--grid-points must be at least 2")
     if n > GRID_POINTS_MAX:
         raise _UsageError(f"--grid-points must be at most {GRID_POINTS_MAX}")
+    return analysis.uniform_grid(n)
 
 
 def _boundary(s1: np.ndarray, branch: str) -> np.ndarray:
-    """s2 on ``branch`` of the region boundary, clipped to [0, 1] against
-    rounding."""
+    """s2 on ``branch`` of the region boundary, clipped to [0, 1].  The
+    lower branch drops below s2 = 0 for s1 > 3/4 (to -0.0667), and the
+    clip moves those points to the edge s2 = 0: 49 of the 201 default s1
+    points.  At 1 the clip only absorbs rounding."""
     return np.minimum(np.maximum(cloners.acm_boundary_s2(s1, branch), 0.0), 1.0)
 
 
@@ -182,36 +190,32 @@ def _repeat_tile(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(n * n), n)
 
 
-def _clone_matrix(args) -> tuple[np.ndarray, list[tuple[str, object]]]:
-    """The clone matrix for clone/entangle, with the config lines naming it."""
+def _clone_matrix(args) -> tuple[np.ndarray, np.ndarray]:
+    """The input state of clone/entangle and its clone matrix.  An unset
+    scm --clones is stored as the 2 it stands for, so the config names it."""
     if args.clones is not None and args.machine != "scm":
         raise _UsageError("--clones only applies to --machine scm")
     if args.s1 is not None and args.machine != "acm":
         raise _UsageError("--s1 only applies to --machine acm")
     if args.machine == "acm" and args.s1 is None:
         raise _UsageError("--machine acm needs --s1")
+    if args.machine == "scm" and args.clones is None:
+        args.clones = 2
     state = _library_check("--alpha", states.psi_minus_family, args.alpha)
     # of the machines' parameters only scm's --clones and acm's --s1 can fail
     flag = "--s1" if args.machine == "acm" else "--clones"
-    rho = _library_check(flag, cloners.clone, state, args.machine, args.clones, args.s1)
-    config = [("machine", args.machine), ("alpha", float(args.alpha))]
-    if args.machine == "scm":
-        config.append(("clones", 2 if args.clones is None else args.clones))
-    elif args.machine == "acm":
-        config.append(("s1", float(args.s1)))
-    return rho, config
+    return state, _library_check(flag, cloners.clone, state, args.machine, args.clones, args.s1)
 
 
-def _cmd_clone(args) -> Iterator[str]:
-    rho, config = _clone_matrix(args)
+def _cmd_clone(args) -> tuple:
+    _, rho = _clone_matrix(args)
     index = np.arange(4)
     columns = [np.repeat(index, 4), np.tile(index, 4), rho.real.ravel(), rho.imag.ravel()]
-    return _render("clone", config, ["row", "col", "re", "im"], columns)
+    return ["row", "col", "re", "im"], columns
 
 
-def _cmd_entangle(args) -> Iterator[str]:
-    rho, config = _clone_matrix(args)
-    state = states.psi_minus_family(args.alpha)
+def _cmd_entangle(args) -> tuple:
+    state, rho = _clone_matrix(args)
     report = entanglement.concurrence(rho)
     fid = entanglement.fidelity(state, rho)
     header = [
@@ -225,17 +229,15 @@ def _cmd_entangle(args) -> Iterator[str]:
         "fidelity",
     ]
     row = (args.alpha, report.concurrence, report.eof) + report.lambdas + (fid,)
-    return _render("entangle", config, header, [np.array([x]) for x in row])
+    return header, [np.array([x]) for x in row]
 
 
-def _cmd_mean(args) -> Iterator[str]:
+def _cmd_mean(args) -> tuple:
     _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
-    config = [("machine", args.machine), ("quad_tol", float(args.quad_tol))]
     if args.machine == "acm":
         if args.s1 is None or args.s2 is None:
             raise _UsageError("--machine acm needs both --s1 and --s2")
         params = _library_check("--s1/--s2", cloners.ShrinkParams, args.s1, args.s2)
-        config.extend([("s1", float(args.s1)), ("s2", float(args.s2))])
         try:
             result = analysis.mean_entanglement_acm(params, args.quad_tol)
         except cloners.ConstraintViolatedError as exc:
@@ -244,68 +246,52 @@ def _cmd_mean(args) -> Iterator[str]:
         if args.s1 is not None or args.s2 is not None:
             raise _UsageError("--s1/--s2 only apply to --machine acm")
         result = analysis.mean_entanglement(args.machine, args.quad_tol)
-    header = ["value", "abs_error_estimate", "evaluations"]
     row = (result.value, result.abs_error_estimate, result.evaluations)
-    return _render("mean", config, header, [np.array([x]) for x in row])
+    return ["value", "abs_error_estimate", "evaluations"], [np.array([x]) for x in row]
 
 
-def _cmd_fig1(args) -> Iterator[str]:
-    _check_grid(args.grid_points)
-    grid = analysis.uniform_grid(args.grid_points)
+def _cmd_fig1(args) -> tuple:
+    grid = _grid(args.grid_points)
     shrinks = [[cloners.family_shrink("wzcm")], [cloners.family_shrink("scm")]]
     wz, sc = analysis._family_eof(grid, np.array(shrinks))
-    config = [("grid_points", args.grid_points)]
-    return _render("fig1", config, ["alpha", "eof_wzcm", "eof_scm"], [grid, wz, sc])
+    return ["alpha", "eof_wzcm", "eof_scm"], [grid, wz, sc]
 
 
-def _cmd_fig2(args) -> Iterator[str]:
-    _check_grid(args.grid_points)
+def _cmd_fig2(args) -> tuple:
+    grid = _grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
-    grid = analysis.uniform_grid(args.grid_points)
     outer, inner = _repeat_tile(args.grid_points)
     s1, s2 = grid[outer], grid[inner]
     eof = analysis._family_eof(args.alpha, grid)
     values = 0.5 * (eof[outer] + eof[inner])
     outside = cloners.acm_region_value(s1, s2) > cloners.CONSTRAINT_SLACK
     columns = [(grid, outer), (grid, inner), values, cloners.acm_degenerate(s1, s2)]
-    header = ["s1", "s2", "avg_eof", "degenerate"]
-    config = [("alpha", float(args.alpha)), ("grid_points", args.grid_points)]
-    return _render("fig2", config, header, columns, [None, None, outside, None])
+    return ["s1", "s2", "avg_eof", "degenerate"], columns, [None, None, outside, None]
 
 
-def _cmd_fig3(args) -> Iterator[str]:
-    _check_grid(args.grid_points)
+def _cmd_fig3(args) -> tuple:
+    grid = _grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
-    grid = analysis.uniform_grid(args.grid_points)
     s2 = _boundary(grid, args.branch)
     eof = analysis._family_eof(args.alpha, np.array((grid, s2)))
     columns = [grid, s2, 0.5 * (eof[0] + eof[1]), cloners.acm_degenerate(grid, s2)]
-    config = [
-        ("alpha", float(args.alpha)),
-        ("branch", args.branch),
-        ("grid_points", args.grid_points),
-    ]
-    return _render("fig3", config, ["s1", "s2", "avg_eof", "degenerate"], columns)
+    return ["s1", "s2", "avg_eof", "degenerate"], columns
 
 
-def _cmd_fig4(args) -> Iterator[str]:
-    _check_grid(args.grid_points)
-    grid = analysis.uniform_grid(args.grid_points)
+def _cmd_fig4(args) -> tuple:
+    grid = _grid(args.grid_points)
     s2 = _boundary(grid, args.branch)
     eof = analysis._family_eof(grid[:, None], np.array((grid, s2))[:, None, :])
     values = (0.5 * (eof[0] + eof[1])).ravel()
     outer, inner = _repeat_tile(args.grid_points)
     degenerate = cloners.acm_degenerate(grid, s2)[inner]
     columns = [(grid, outer), (grid, inner), (s2, inner), values, degenerate]
-    header = ["alpha", "s1", "s2", "avg_eof", "degenerate"]
-    config = [("branch", args.branch), ("grid_points", args.grid_points)]
-    return _render("fig4", config, header, columns)
+    return ["alpha", "s1", "s2", "avg_eof", "degenerate"], columns
 
 
-def _cmd_fig5(args) -> Iterator[str]:
-    _check_grid(args.grid_points)
+def _cmd_fig5(args) -> tuple:
+    s1 = _grid(args.grid_points)
     _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
-    s1 = analysis.uniform_grid(args.grid_points)
     s2 = _boundary(s1, args.branch)
     analysis._require_region(s1, s2)
     means = analysis.family_mean(np.array((s1, s2)), args.quad_tol).value
@@ -314,12 +300,7 @@ def _cmd_fig5(args) -> Iterator[str]:
     value, degenerate = 0.5 * (means[0] + means[1]), cloners.acm_degenerate(s1, s2)
     columns = [s1, s2, value, np.full(s1.size, mean_wz), np.full(s1.size, mean_sc), degenerate]
     header = ["s1", "s2", "mean_eof_acm", "mean_eof_wzcm", "mean_eof_scm", "degenerate"]
-    config = [
-        ("branch", args.branch),
-        ("grid_points", args.grid_points),
-        ("quad_tol", float(args.quad_tol)),
-    ]
-    return _render("fig5", config, header, columns)
+    return header, columns
 
 
 _COMMANDS = {
@@ -379,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mean", "clone entanglement averaged over the input family")
     p.add_argument("--machine", choices=cloners.MACHINES, required=True)
+    p.add_argument("--quad-tol", type=float, default=analysis.QUAD_DEFAULT_TOL)
     p.add_argument("--s1", type=float, default=None)
     p.add_argument("--s2", type=float, default=None)
-    p.add_argument("--quad-tol", type=float, default=analysis.QUAD_DEFAULT_TOL)
 
     return parser
 
@@ -390,6 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use and kept: each parse returns a fresh namespace."""
     return build_parser()
+
+
+def _subparser(command: str) -> argparse.ArgumentParser | None:
+    """The parser of ``command``, None when no command has that name."""
+    # argparse has no public accessor for the subparsers action; it is the
+    # one action of the positional group
+    (commands,) = _parser()._subparsers._group_actions
+    return commands.choices.get(command)
+
+
+def _config(args: argparse.Namespace) -> list[tuple[str, object]]:
+    """The ``# key: value`` pairs of a parsed command: each flag but
+    --output whose value is not None, in the order its parser declares
+    them."""
+    values = vars(args)
+    return [
+        (action.dest, values[action.dest])
+        for action in _subparser(args.command)._actions
+        if action.dest != "output" and values.get(action.dest) is not None
+    ]
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -401,23 +402,19 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     the top-level parser with the message ``parse_args`` gives.  Anything
     else (no command, an unknown one, -h) goes to the top-level parser.
     """
-    parser = _parser()
-    # argparse has no public accessor for the subparsers action; it is the
-    # one action of the positional group
-    (commands,) = parser._subparsers._group_actions
-    sub = commands.choices.get(argv[0]) if argv else None
+    sub = _subparser(argv[0]) if argv else None
     if sub is None:
-        return parser.parse_args(argv)
+        return _parser().parse_args(argv)
     args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        chunks = _COMMANDS[args.command](args)
+        table = _COMMANDS[args.command](args)
         output = _open_output(args.output)
     except _UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
@@ -429,6 +426,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
         return 1
+    chunks = _render(args.command, _config(args), *table)
     try:
         with output as fh:
             fh.writelines(chunks)

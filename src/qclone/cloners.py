@@ -190,21 +190,6 @@ def wzcm_clone_closed(alpha: float) -> np.ndarray:
     return rho
 
 
-def scm_clone_closed(alpha: float) -> np.ndarray:
-    """Closed form of an SCM (M=2) clone of alpha|01> - beta|10>."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    beta = math.sqrt(1.0 - alpha * alpha)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[0, 0] = 0.1
-    rho[3, 3] = 0.1
-    rho[1, 1] = (6.0 * alpha * alpha + 1.0) / 10.0
-    rho[2, 2] = (6.0 * beta * beta + 1.0) / 10.0
-    rho[1, 2] = -3.0 * alpha * beta / 5.0
-    rho[2, 1] = -3.0 * alpha * beta / 5.0
-    return rho
-
-
 def acm_clone_closed(alpha: float, s: float) -> np.ndarray:
     """Closed form of the shrink-s ACM clone of alpha|01> - beta|10>."""
     if not 0.0 <= alpha <= 1.0:

@@ -116,7 +116,10 @@ def hermitian_eigen(a) -> EigenResult:
     which then raises ValueError for it rather than NotHermitianError.
     """
     m = _shape4(a)
-    skew = m - m.conj().T
+    # a real Inf on the diagonal gives Inf - Inf = NaN: no warning, the
+    # NaN fails the check below
+    with np.errstate(invalid="ignore"):
+        skew = m - m.conj().T
     if not float(np.abs(skew).max()) <= HERMITICITY_TOL:
         _as_matrix4(m)  # raises ValueError on a NaN or Inf entry
         raise NotHermitianError("matrix is not Hermitian within tolerance")

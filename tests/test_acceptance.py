@@ -17,7 +17,6 @@ from qclone.cloners import (
     acm_boundary_s2,
     acm_clone_closed,
     clone,
-    scm_clone_closed,
     wzcm_clone,
     wzcm_clone_closed,
 )
@@ -113,7 +112,7 @@ def test_criterion_06_closed_form_equivalence():
         worst = max(
             worst,
             np.max(np.abs(wzcm_clone(to_bell_basis(state)) - wzcm_clone_closed(alpha))),
-            np.max(np.abs(clone(state, "scm") - scm_clone_closed(alpha))),
+            np.max(np.abs(clone(state, "scm") - acm_clone_closed(alpha, 3 / 5))),
         )
         for s in np.linspace(0.0, 1.0, 21):
             worst = max(

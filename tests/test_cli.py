@@ -19,6 +19,7 @@ import pytest
 
 import qclone.analysis
 import qclone.cli
+import qclone.states
 from qclone.analysis import (
     QuadratureConvergenceError,
     family_eof,
@@ -251,6 +252,21 @@ def test_entangle_reports_match_api(capsys):
     lambdas = [float(x) for x in rows[0][3:7]]
     assert all(abs(a - b) < 1e-8 for a, b in zip(lambdas, report.lambdas))
 
+
+
+@pytest.mark.parametrize("machine", ["wzcm", "scm", "acm"])
+def test_entangle_builds_its_input_state_once(capsys, monkeypatch, machine):
+    calls = []
+
+    def spy(alpha):
+        calls.append(alpha)
+        return psi_minus_family(alpha)
+
+    monkeypatch.setattr(qclone.states, "psi_minus_family", spy)
+    shrink = ["--s1", "0.8"] if machine == "acm" else []
+    rc, _, err = run_cli(capsys, ["entangle", "--machine", machine, "--alpha", "0.6"] + shrink)
+    assert rc == 0 and err == ""
+    assert calls == [0.6]
 
 def test_fig1_matches_curve_api(capsys):
     rc, out, _ = run_cli(capsys, ["fig1", "--grid-points", "11"])
@@ -505,6 +521,12 @@ def test_grid_validation(capsys):
     rc, out, _ = run_cli(capsys, ["fig1", "--grid-points", str(GRID_POINTS_MAX)])
     assert rc == 0 and len(parse_csv(out)[2]) == GRID_POINTS_MAX
 
+
+@pytest.mark.parametrize("command", ["fig2", "fig3"])
+def test_grid_points_is_checked_before_alpha(capsys, command):
+    rc, out, err = run_cli(capsys, [command, "--grid-points", "1", "--alpha", "2"])
+    assert rc == 2 and out == ""
+    assert err == "qclone: error: --grid-points must be at least 2\n"
 
 @pytest.mark.parametrize("command", ["fig2", "fig4"])
 def test_grid_points_above_the_maximum_exit_two(capsys, command):

@@ -14,7 +14,6 @@ from qclone.cloners import (
     acm_region_value,
     clone,
     family_shrink,
-    scm_clone_closed,
     shrink_map,
     wzcm_clone,
     wzcm_clone_closed,
@@ -46,7 +45,7 @@ def test_wzcm_closed_form_agreement():
 def test_scm_closed_form_agreement():
     for alpha in ALPHAS:
         got = clone(psi_minus_family(alpha), "scm")
-        assert np.max(np.abs(got - scm_clone_closed(alpha))) <= 1e-12
+        assert np.max(np.abs(got - acm_clone_closed(alpha, 3 / 5))) <= 1e-12
 
 
 def test_acm_closed_form_agreement():
