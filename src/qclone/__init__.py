@@ -17,7 +17,6 @@ from .analysis import (
     family_mean,
     mean_entanglement,
     mean_entanglement_acm,
-    uniform_grid,
 )
 from .cloners import (
     ConstraintViolatedError,
@@ -89,7 +88,6 @@ __all__ = [
     "psi_minus_family",
     "shrink_map",
     "to_bell_basis",
-    "uniform_grid",
     "wzcm_clone",
     "wzcm_clone_closed",
     "wzcm_full_output",

@@ -59,13 +59,6 @@ class QuadratureResult:
     evaluations: int
 
 
-def uniform_grid(n: int) -> np.ndarray:
-    """n evenly spaced points covering [0, 1] inclusive."""
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 points, got {n}")
-    return np.linspace(0.0, 1.0, n)
-
-
 def _check_tol(tol: float) -> None:
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be a finite number, got {tol!r}")

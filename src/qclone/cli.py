@@ -8,9 +8,10 @@ argparse name (`--grid-points` is `grid_points`), in the order the
 command declares its flags, floats by repr; an unset scm --clones is
 written as the 2 it stands for.  Fields are comma-separated, floats carry
 9 significant digits, line endings are Unix.  Identical flags produce
-identical bytes.  Each command returns its table as numpy columns before
-a byte is written, so numeric and usage failures write nothing; main then
-formats and writes the rows BLOCK_ROWS at a time, never held as one string.
+identical bytes.  Every command returns its table, (header, columns),
+before a byte is written, so numeric and usage failures write nothing;
+main then formats and writes the rows BLOCK_ROWS at a time, never held as
+one string.
 
 Flags are parsed at the subcommand: when the first argument names a
 command, that command's parser reads the rest, and the top-level parser
@@ -66,49 +67,43 @@ def _texts(values: np.ndarray) -> list[str]:
     return ("%.9g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
-def _render(command: str, config, header: list[str], columns, missing=None) -> Iterator[str]:
+def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
     """The CSV of a table of columns: comment and header lines, then
     blocks of up to BLOCK_ROWS rows, each formatted by one % over a row
     template: %.9g for float columns, %d for int columns, true/false for
-    bool columns.  A column is a numpy array, or a pair (grid, index)
-    standing for grid[index], as the repeat and tile layout of a 2-D sweep
-    gives: each grid value is formatted once and each row takes its text
-    by index.  ``missing`` is None or one mask (or None) per column;
-    masked points print as outside_region and are never formatted, so a
-    masked cell may hold any float, NaN and Inf included.
+    bool columns.  A column is a numpy array, or a pair (values, index)
+    standing for values[index]: each value is formatted once and each row
+    takes its text by index, and index -1 prints outside_region, so a cell
+    with no value is never formatted.  The repeat and tile layout of a 2-D
+    sweep gives (grid, index) pairs; fig2's avg_eof is (in-region
+    averages, index) with -1 at each pair outside the acm region.
     """
     lines = [f"# command: {command}"]
     for key, value in config:
         lines.append(f"# {key}: {value!r}" if isinstance(value, float) else f"# {key}: {value}")
     lines.append(",".join(header))
     yield "\n".join(lines) + "\n"
-    masks = missing or (None,) * len(columns)
-    # bool and (grid, index) columns become (table of texts, index)
+    # bool and (values, index) columns become (table of texts, index)
     coded = [
-        (np.array(_texts(c[0]), dtype=object), c[1])
+        (np.array(_texts(c[0]) + ["outside_region"], dtype=object), c[1])
         if isinstance(c, tuple)
         else (_BOOL_WORDS, c.astype(int)) if c.dtype.kind == "b" else None
         for c in columns
     ]
     row = ",".join(
-        "%s" if mask is not None or code is not None else _SPECS[c.dtype.kind]
-        for c, mask, code in zip(columns, masks, coded)
+        "%s" if code is not None else _SPECS[c.dtype.kind] for c, code in zip(columns, coded)
     ) + "\n"
     k = len(columns)
     n = len(coded[0][1]) if coded[0] is not None else len(columns[0])
     for lo in range(0, n, BLOCK_ROWS):
         m = min(BLOCK_ROWS, n - lo)
         cells = [None] * (m * k)
-        for j, (col, mask, code) in enumerate(zip(columns, masks, coded)):
-            if code is not None:
-                table, index = code
-                cells[j::k] = table[index[lo : lo + m]].tolist()
-            elif mask is None:
+        for j, (col, code) in enumerate(zip(columns, coded)):
+            if code is None:
                 cells[j::k] = col[lo : lo + m].tolist()
             else:
-                hidden = mask[lo : lo + m]
-                texts = iter(_texts(col[lo : lo + m][~hidden]))
-                cells[j::k] = ["outside_region" if h else next(texts) for h in hidden.tolist()]
+                table, index = code
+                cells[j::k] = table[index[lo : lo + m]].tolist()
         yield row * m % tuple(cells)
 
 
@@ -164,7 +159,7 @@ def _check_unit(flag: str, value: float) -> None:
     # figures call analysis._family_eof, which checks nothing, and NaN
     # fails the chained comparison
     if not 0.0 <= value <= 1.0:
-        raise _UsageError(f"{flag} must lie in [0, 1], got {value:g}")
+        raise _UsageError(f"{flag} must lie in [0, 1], got {value!r}")
 
 
 def _grid(n: int) -> np.ndarray:
@@ -173,7 +168,7 @@ def _grid(n: int) -> np.ndarray:
         raise _UsageError("--grid-points must be at least 2")
     if n > GRID_POINTS_MAX:
         raise _UsageError(f"--grid-points must be at most {GRID_POINTS_MAX}")
-    return analysis.uniform_grid(n)
+    return np.linspace(0.0, 1.0, n)
 
 
 def _boundary(s1: np.ndarray, branch: str) -> np.ndarray:
@@ -263,10 +258,13 @@ def _cmd_fig2(args) -> tuple:
     outer, inner = _repeat_tile(args.grid_points)
     s1, s2 = grid[outer], grid[inner]
     eof = analysis._family_eof(args.alpha, grid)
-    values = 0.5 * (eof[outer] + eof[inner])
-    outside = cloners.acm_region_value(s1, s2) > cloners.CONSTRAINT_SLACK
-    columns = [(grid, outer), (grid, inner), values, cloners.acm_degenerate(s1, s2)]
-    return ["s1", "s2", "avg_eof", "degenerate"], columns, [None, None, outside, None]
+    # pairs outside the region take index -1 and get no average
+    kept = np.flatnonzero(cloners.acm_region_value(s1, s2) <= cloners.CONSTRAINT_SLACK)
+    index = np.full(outer.size, -1)
+    index[kept] = np.arange(kept.size)
+    values = 0.5 * (eof[outer[kept]] + eof[inner[kept]])
+    columns = [(grid, outer), (grid, inner), (values, index), cloners.acm_degenerate(s1, s2)]
+    return ["s1", "s2", "avg_eof", "degenerate"], columns
 
 
 def _cmd_fig3(args) -> tuple:

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from qclone.analysis import uniform_grid
 from qclone.cli import main
 from qclone.cloners import (
     acm_boundary_s2,
@@ -74,7 +73,7 @@ def test_criterion_02_singlet_reduction_factor():
 
 def test_criterion_03_wzcm_preservation():
     worst = 0.0
-    for alpha in uniform_grid(201):
+    for alpha in np.linspace(0.0, 1.0, 201):
         e_in = concurrence(density_of(psi_minus_family(alpha))).eof
         e_out = concurrence(clone(psi_minus_family(alpha), "wzcm")).eof
         worst = max(worst, abs(e_out - e_in))

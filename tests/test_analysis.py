@@ -19,7 +19,6 @@ from qclone.analysis import (
     family_mean,
     mean_entanglement,
     mean_entanglement_acm,
-    uniform_grid,
 )
 from qclone.cloners import (
     CONSTRAINT_SLACK,
@@ -75,22 +74,15 @@ def mp_family_mean(s: float):
         return mpmath.quad(eof, [mpmath.sin(theta1), mpmath.cos(theta1)])
 
 
-def test_uniform_grid():
-    g = uniform_grid(5)
-    assert np.allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        uniform_grid(1)
-
-
 def test_entanglement_curve_wzcm_equals_input_entanglement():
-    grid = uniform_grid(51)
+    grid = np.linspace(0.0, 1.0, 51)
     for alpha, eof in zip(grid.tolist(), family_eof(grid, 1.0).tolist()):
         beta = math.sqrt(1 - alpha * alpha)
         assert abs(eof - eof_from_concurrence(2 * alpha * beta)) < 1e-12
 
 
 def test_entanglement_curve_scm_peaks_at_maximal_input_entanglement():
-    grid = uniform_grid(101)
+    grid = np.linspace(0.0, 1.0, 101)
     curve = family_eof(grid, family_shrink("scm"))
     assert abs(grid[np.argmax(curve)] - 1 / math.sqrt(2)) <= 0.01  # nearest grid point
     assert curve[0] == 0.0 and curve[-1] == 0.0  # product inputs stay separable
@@ -265,7 +257,7 @@ def test_fig2_interior_maximum_on_boundary():
 def test_fig4_layout():
     header, (alpha, s1, *_), _ = figure_table(["fig4", "--grid-points", "5"])
     assert header == ["alpha", "s1", "s2", "avg_eof", "degenerate"]
-    grid = uniform_grid(5)
+    grid = np.linspace(0.0, 1.0, 5)
     assert np.array_equal(alpha, np.repeat(grid, 5))
     assert np.array_equal(s1, np.tile(grid, 5))
 
@@ -345,7 +337,7 @@ def test_family_eof_broadcasts_and_validates():
 def test_unchecked_kernel_matches_family_eof_bit_for_bit():
     # the figure commands call _family_eof on the grids they build; on each
     # input shape they pass it must give family_eof's exact bits
-    grid = uniform_grid(201)
+    grid = np.linspace(0.0, 1.0, 201)
     s2 = np.clip(acm_boundary_s2(grid, "lower"), 0.0, 1.0)
     shapes = (
         (grid, np.array([[1.0], [family_shrink("scm")]])),  # fig1
@@ -384,9 +376,9 @@ def test_scalar_routes_match_the_kernel():
 def test_two_copy_sweeps_are_bit_exact_against_one_kernel_call_per_copy(branch):
     # both copies go through one family_eof call; each value must keep the
     # bits of two separate calls, on grids that hold the degenerate ends
-    grid = uniform_grid(41)
+    grid = np.linspace(0.0, 1.0, 41)
     s2s = np.clip(acm_boundary_s2(grid, branch), 0.0, 1.0)
-    for alpha in np.union1d(uniform_grid(21), [SINGLET]).tolist():
+    for alpha in np.union1d(np.linspace(0.0, 1.0, 21), [SINGLET]).tolist():
         argv = ["fig3", "--alpha", repr(alpha), "--branch", branch, "--grid-points", "41"]
         _, (_, _, value, degenerate), _ = figure_table(argv)
         want = 0.5 * (family_eof(alpha, grid) + family_eof(alpha, s2s))
@@ -413,7 +405,7 @@ def test_region_grid_sides_match_shrink_params():
 
 def test_boundary_sweeps_match_per_point_answers():
     # fig3 at one alpha of fig4's grid against fig4's rows at that alpha
-    grid = uniform_grid(41)
+    grid = np.linspace(0.0, 1.0, 41)
     alpha = float(grid[26])  # 0.65
     for branch in ("upper", "lower"):
         argv = ["--branch", branch, "--grid-points", "41"]

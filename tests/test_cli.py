@@ -24,7 +24,6 @@ from qclone.analysis import (
     QuadratureConvergenceError,
     family_eof,
     mean_entanglement,
-    uniform_grid,
 )
 from qclone.cli import GRID_POINTS_MAX, main
 from qclone.cloners import (
@@ -275,7 +274,7 @@ def test_fig1_matches_curve_api(capsys):
     assert header == ["alpha", "eof_wzcm", "eof_scm"]
     assert config["grid_points"] == "11"
     assert len(rows) == 11
-    grid = uniform_grid(11)
+    grid = np.linspace(0.0, 1.0, 11)
     wz = family_eof(grid, 1.0)
     sc = family_eof(grid, family_shrink("scm"))
     for row, alpha, e_wz, e_sc in zip(rows, grid, wz, sc):
@@ -372,8 +371,9 @@ def test_block_boundaries_leave_the_bytes_unchanged(capsys, monkeypatch):
 
 @pytest.mark.parametrize("pattern", ["all", "none", "mixed"])
 def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, pattern):
-    # 8 rows in blocks of 3; masked cells hold NaN and Inf, and only the
-    # unmasked cells may reach the formatter
+    # 8 rows in blocks of 3; a (values, index) column holds only the
+    # in-region values, index -1 prints outside_region, and only the held
+    # values reach the formatter
     monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", 3)
     formatted = []
     texts = qclone.cli._texts
@@ -389,19 +389,21 @@ def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, 
         "none": np.zeros(rows, dtype=bool),
         "mixed": np.array([False, True, True, True, False, False, True, False]),
     }[pattern]
-    values = np.linspace(-1.0, 1.0, rows) / 3.0
-    values[mask] = np.resize([math.nan, math.inf, -math.inf], int(mask.sum()))
-    index = np.arange(rows)
-    columns = [index, values, index % 2 == 0]
-    chunks = list(qclone.cli._render("t", [], ["i", "v", "b"], columns, [None, mask, None]))
+    values = np.linspace(-1.0, 1.0, rows)[~mask] / 3.0
+    index = np.full(rows, -1)
+    index[~mask] = np.arange(values.size)
+    i = np.arange(rows)
+    columns = [i, (values, index), i % 2 == 0]
+    chunks = list(qclone.cli._render("t", [], ["i", "v", "b"], columns))
     assert len(chunks) == 1 + 3
+    held = iter(values.tolist())
     want = "# command: t\ni,v,b\n" + "".join(
         "%d,%s,%s\n"
-        % (i, "outside_region" if m else "%.9g" % v, "true" if i % 2 == 0 else "false")
-        for i, v, m in zip(index.tolist(), values.tolist(), mask.tolist())
+        % (j, "outside_region" if m else "%.9g" % next(held), "true" if j % 2 == 0 else "false")
+        for j, m in zip(i.tolist(), mask.tolist())
     )
     assert "".join(chunks) == want
-    assert formatted == values[~mask].tolist()
+    assert formatted == values.tolist()
 
 
 def test_failures_write_nothing_to_the_output_file(capsys, tmp_path, monkeypatch):
@@ -527,6 +529,15 @@ def test_grid_points_is_checked_before_alpha(capsys, command):
     rc, out, err = run_cli(capsys, [command, "--grid-points", "1", "--alpha", "2"])
     assert rc == 2 and out == ""
     assert err == "qclone: error: --grid-points must be at least 2\n"
+
+
+@pytest.mark.parametrize("value", ["1.0000001", "-1e-09"])
+@pytest.mark.parametrize("command", ["fig2", "fig3"])
+def test_figure_alpha_diagnostic_shows_the_value_given(capsys, command, value):
+    # by repr: a value just outside [0, 1] must not read as an endpoint
+    rc, out, err = run_cli(capsys, [command, f"--alpha={value}"])
+    assert rc == 2 and out == ""
+    assert err == f"qclone: error: --alpha must lie in [0, 1], got {value}\n"
 
 @pytest.mark.parametrize("command", ["fig2", "fig4"])
 def test_grid_points_above_the_maximum_exit_two(capsys, command):
@@ -690,15 +701,20 @@ def test_figure_columns_are_the_kernel_and_sweep_bits(branch):
     # fig1 takes both columns from one family_eof call; fig2 and fig4 hand
     # their inputs over as (grid, index) pairs, which must decode to the
     # repeat and tile layout, and their values must keep the kernel's bits
-    grid = uniform_grid(41)
+    grid = np.linspace(0.0, 1.0, 41)
     outer, inner = np.repeat(grid, 41), np.tile(grid, 41)
     _, (alpha, wz, sc), _ = figure_table(["fig1", "--grid-points", "41"])
     assert np.array_equal(alpha, grid)
     assert np.array_equal(wz, family_eof(grid, 1.0))
     assert np.array_equal(sc, family_eof(grid, family_shrink("scm")))
-    _, (s1, s2, value, _), _ = figure_table(["fig2", "--alpha", "0.6", "--grid-points", "41"])
+    argv = ["fig2", "--alpha", "0.6", "--grid-points", "41"]
+    _, (s1, s2, value, _), (_, _, outside, _) = figure_table(argv)
     assert np.array_equal(s1, outer) and np.array_equal(s2, inner)
-    assert np.array_equal(value, 0.5 * (family_eof(0.6, outer) + family_eof(0.6, inner)))
+    # index -1 exactly at the pairs outside the region, the kernel's bits elsewhere
+    assert np.array_equal(outside, acm_region_value(outer, inner) > CONSTRAINT_SLACK)
+    assert 0 < outside.sum() < outside.size
+    want = 0.5 * (family_eof(0.6, outer) + family_eof(0.6, inner))
+    assert np.array_equal(value[~outside], want[~outside])
     _, (alpha, s1, s2, value, _), _ = figure_table(["fig4", "--branch", branch, "--grid-points", "41"])
     boundary = np.clip(acm_boundary_s2(inner, branch), 0.0, 1.0)
     assert np.array_equal(alpha, outer) and np.array_equal(s1, inner)
