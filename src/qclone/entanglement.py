@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .qmath import SQRT_ZERO_FLOOR, NotNormalizedError, _as_matrix4, as_state_vector, psd_factor
 
@@ -97,7 +98,13 @@ def concurrence(rho) -> EntanglementReport:
     # tr rho = |F|_F^2 up to the eigenvalues below 1e-10 that the factor
     # sets to 0; one dot product costs a third of np.trace on rho
     _check_trace(float(np.vdot(factor, factor).real))
-    l = np.linalg.svd((factor.T[:, ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False).tolist()
+    sandwich = (factor.T[:, ::-1] * _FLIP_SIGNS) @ factor
+    # the gufunc np.linalg.svd wraps: a failed solve returns NaN outputs and
+    # raises the invalid flag, which stays silent here
+    with np.errstate(all="ignore"):
+        l = _umath_linalg.svd(sandwich).tolist()
+    if math.isnan(l[0]):
+        raise np.linalg.LinAlgError("SVD did not converge")
     floor = SQRT_ZERO_FLOOR * l[0]
     lams = tuple(x if x > floor else 0.0 for x in l)
     c = lams[0] - lams[1] - lams[2] - lams[3]

@@ -9,8 +9,12 @@ Conventions shared by the whole package:
   arrays with tensor-factor ordering (pair 1) x (pair 2) x (machine),
   i.e. component index ``i1*16 + i2*4 + im``.
 
-Eigensolves go to LAPACK through numpy's ``eigh``.  Its zero eigenvalues
-come back as noise of a few eps times max|eigenvalue|, of either sign, so
+Eigensolves go to LAPACK through ``eigh_lo``, the gufunc in
+``numpy.linalg._umath_linalg`` that ``np.linalg.eigh`` wraps (numpy>=2.0).
+:func:`hermitian_eigen` checks its input itself, and numpy's wrapper would
+nearly double the cost of a 4x4 solve; its failure contract, NaN outputs
+and the invalid flag, is checked here instead.  Zero eigenvalues come back
+as noise of a few eps times max|eigenvalue|, of either sign, so
 :func:`psd_factor` sets every eigenvalue at or below SQRT_ZERO_FLOOR
 times max|eigenvalue| to 0 before the square root: the factor of a
 rank-deficient matrix then has no ~1e-8 component off its range.
@@ -24,6 +28,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 #: max entrywise |a - a^dag| accepted as "Hermitian".
 HERMITICITY_TOL = 1e-10
@@ -105,9 +110,9 @@ def as_state_vector(vec, dim: int) -> np.ndarray:
 
 
 def hermitian_eigen(a) -> EigenResult:
-    """Eigendecomposition of a Hermitian 4x4 matrix by LAPACK (numpy ``eigh``).
+    """Eigendecomposition of a Hermitian 4x4 matrix by LAPACK (the ``eigh_lo`` gufunc).
 
-    The input is symmetrized before the solve, and eigh's ascending order
+    The input is symmetrized before the solve, and LAPACK's ascending order
     is reversed to descending.
 
     Raises NotHermitianError if max |a - a^dag| exceeds HERMITICITY_TOL, and
@@ -116,17 +121,18 @@ def hermitian_eigen(a) -> EigenResult:
     which then raises ValueError for it rather than NotHermitianError.
     """
     m = _shape4(a)
-    # a real Inf on the diagonal gives Inf - Inf = NaN: no warning, the
-    # NaN fails the check below
-    with np.errstate(invalid="ignore"):
+    # a real Inf on the diagonal gives Inf - Inf = NaN, which fails the
+    # check below, and a failed solve returns NaN outputs and raises the
+    # invalid flag; neither may warn
+    with np.errstate(all="ignore"):
         skew = m - m.conj().T
-    if not float(np.abs(skew).max()) <= HERMITICITY_TOL:
-        _as_matrix4(m)  # raises ValueError on a NaN or Inf entry
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    try:
-        values, vectors = np.linalg.eigh(m - 0.5 * skew)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"Hermitian eigensolve failed: {exc}") from exc
+        if not float(np.abs(skew).max()) <= HERMITICITY_TOL:
+            _as_matrix4(m)  # raises ValueError on a NaN or Inf entry
+            raise NotHermitianError("matrix is not Hermitian within tolerance")
+        values, vectors = _umath_linalg.eigh_lo(m - 0.5 * skew)
+    # the gufunc fills every output of a failed solve with NaN
+    if math.isnan(values[0]):
+        raise EigenConvergenceError("Hermitian eigensolve failed: Eigenvalues did not converge")
     return EigenResult(values[::-1], vectors[:, ::-1])
 
 

@@ -13,6 +13,7 @@ import pathlib
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -156,20 +157,28 @@ def test_real_convergence_failures_exit_one(capsys, monkeypatch):
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "numeric failure" in err and "s = 1.0" in err
 
-    def fail(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # LAPACK's non-convergence as numpy's gufuncs return it: every output
+    # NaN, with the floating-point invalid flag raised (here by 0/0)
+    def failed_eigh(a):
+        return np.zeros(4) / 0.0, np.zeros((4, 4), np.complex128) / 0.0
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    rc, out, err = run_cli(capsys, ["entangle", "--machine", "acm", "--alpha", "0.6", "--s1", "0.8"])
+    def failed_svd(a):
+        return np.zeros(4) / 0.0
+
+    monkeypatch.setattr("qclone.qmath._umath_linalg.eigh_lo", failed_eigh)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, ["entangle", "--machine", "acm", "--alpha", "0.6", "--s1", "0.8"])
+    assert caught == []
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "numeric failure" in err and "eigensolve failed" in err
 
-    def fail_svd(a, compute_uv=True):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
     monkeypatch.undo()
-    monkeypatch.setattr(np.linalg, "svd", fail_svd)
-    rc, out, err = run_cli(capsys, ["entangle", "--machine", "wzcm", "--alpha", "0.6"])
+    monkeypatch.setattr("qclone.entanglement._umath_linalg.svd", failed_svd)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, ["entangle", "--machine", "wzcm", "--alpha", "0.6"])
+    assert caught == []
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "numeric failure" in err and "SVD did not converge" in err
 

@@ -1,5 +1,7 @@
 """Eigensolver, PSD eigen-factor and partial trace against numpy and mpmath oracles."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -52,15 +54,20 @@ def test_eigen_matches_mpmath_on_random_hermitian():
 
 
 def test_eigen_raises_when_eigh_fails(monkeypatch):
-    def fail(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def failed_solve(a):
+        # LAPACK's non-convergence as numpy's gufunc returns it: every output
+        # NaN, with the floating-point invalid flag raised (here by 0/0)
+        return np.zeros(4) / 0.0, np.zeros((4, 4), np.complex128) / 0.0
 
     a = random_hermitian(np.random.default_rng(3))
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(EigenConvergenceError, match="did not converge"):
-        hermitian_eigen(a)
-    with pytest.raises(EigenConvergenceError):
-        psd_factor(np.eye(4, dtype=np.complex128))
+    monkeypatch.setattr("qclone.qmath._umath_linalg.eigh_lo", failed_solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            hermitian_eigen(a)
+        with pytest.raises(EigenConvergenceError):
+            psd_factor(np.eye(4, dtype=np.complex128))
+    assert caught == []
 
 
 def test_eigen_reconstruction_and_unitarity():
