@@ -22,14 +22,10 @@ from .cloners import (
     ConstraintViolatedError,
     ShrinkParams,
     acm_boundary_s2,
-    acm_clone_closed,
     acm_degenerate,
     acm_region_value,
     clone,
     family_shrink,
-    shrink_map,
-    wzcm_clone,
-    wzcm_clone_closed,
     wzcm_full_output,
 )
 from .entanglement import (
@@ -47,18 +43,11 @@ from .qmath import (
     NotPSDError,
     partial_trace,
 )
-from .states import (
-    BELL_ORDER,
-    bell_state,
-    density_of,
-    psi_minus_family,
-    to_bell_basis,
-)
+from .states import psi_minus_family
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BELL_ORDER",
     "ConstraintViolatedError",
     "EigenConvergenceError",
     "EntanglementReport",
@@ -69,14 +58,11 @@ __all__ = [
     "QuadratureConvergenceError",
     "ShrinkParams",
     "acm_boundary_s2",
-    "acm_clone_closed",
     "acm_degenerate",
     "acm_region_value",
-    "bell_state",
     "clone",
     "concurrence",
     "concurrence_xstate",
-    "density_of",
     "eof_from_concurrence",
     "family_eof",
     "family_mean",
@@ -86,10 +72,6 @@ __all__ = [
     "mean_entanglement_acm",
     "partial_trace",
     "psi_minus_family",
-    "shrink_map",
-    "to_bell_basis",
-    "wzcm_clone",
-    "wzcm_clone_closed",
     "wzcm_full_output",
     "__version__",
 ]

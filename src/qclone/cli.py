@@ -7,11 +7,11 @@ per flag other than --output whose value is not None, keyed by its
 argparse name (`--grid-points` is `grid_points`), in the order the
 command declares its flags, floats by repr; an unset scm --clones is
 written as the 2 it stands for.  Fields are comma-separated, floats carry
-9 significant digits, line endings are Unix.  Identical flags produce
-identical bytes.  Every command returns its table, (header, columns),
-before a byte is written, so numeric and usage failures write nothing;
-main then formats and writes the rows BLOCK_ROWS at a time, never held as
-one string.
+9 significant digits (mean's error estimate 2, rounded up), line endings
+are Unix.  Identical flags produce identical bytes.  Every command returns
+its table, (header, columns), before a byte is written, so numeric and
+usage failures write nothing; main then formats and writes the rows
+BLOCK_ROWS at a time, never held as one string.
 
 Flags are parsed at the subcommand: when the first argument names a
 command, that command's parser reads the rest, and the top-level parser
@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import functools
 import math
 import os
+import re
 import stat
 import sys
 from typing import Iterator, TextIO
@@ -227,6 +229,13 @@ def _cmd_entangle(args) -> tuple:
     return header, [np.array([x]) for x in row]
 
 
+def _round_up(x: float) -> float:
+    """``x`` rounded up to 2 significant digits, decided on its exact
+    decimal value, so the 2 digits printed are never below ``x``."""
+    d = decimal.Decimal(x)
+    return float(d.quantize(decimal.Decimal(1).scaleb(d.adjusted() - 1), decimal.ROUND_CEILING))
+
+
 def _cmd_mean(args) -> tuple:
     _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
     if args.machine == "acm":
@@ -241,7 +250,9 @@ def _cmd_mean(args) -> tuple:
         if args.s1 is not None or args.s2 is not None:
             raise _UsageError("--s1/--s2 only apply to --machine acm")
         result = analysis.mean_entanglement(args.machine, args.quad_tol)
-    row = (result.value, result.abs_error_estimate, result.evaluations)
+    # |Q_2n - Q_n| is roundoff-sized here, and its digits past the second
+    # follow the BLAS kernel; rounded up, the estimate stays a bound
+    row = (result.value, _round_up(result.abs_error_estimate), result.evaluations)
     return ["value", "abs_error_estimate", "evaluations"], [np.array([x]) for x in row]
 
 
@@ -322,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
+        # Python 3.13's pattern: before it, argparse reads a value such as
+        # -1e-09 as a flag and only -N and -N.N as negative numbers
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
         return p
 

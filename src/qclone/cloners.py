@@ -16,13 +16,12 @@ over the computational basis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import _shape4, as_state_vector
-from .states import BELL_MATRIX, density_of, to_bell_basis
+from .qmath import as_state_vector
+from .states import BELL_MATRIX
 
 #: the machines of the table, in the order the CLI offers them.
 MACHINES = ("wzcm", "scm", "acm")
@@ -83,21 +82,6 @@ def acm_degenerate(s1, s2):
     )
 
 
-def wzcm_clone(bell_coeffs) -> np.ndarray:
-    """Reduced state of either copy produced from Bell amplitudes.
-
-    Both clones equal sum_i |c_i|^2 |bell_i><bell_i|.  Complex amplitudes
-    are accepted; only |c_i|^2 enters.
-    """
-    c = as_state_vector(bell_coeffs, 4)
-    weights = (c.conj() * c).real
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    for w, proj in zip(weights, _BELL_PROJECTORS):
-        if w != 0.0:
-            rho = rho + w * proj
-    return rho
-
-
 def wzcm_full_output(bell_coeffs) -> np.ndarray:
     """Joint pure output sum_i c_i |bell_i>|bell_i>|w_i> as a 64-vector.
 
@@ -105,13 +89,6 @@ def wzcm_full_output(bell_coeffs) -> np.ndarray:
     4-dimensional ancilla; factor order is (pair 1) x (pair 2) x (machine).
     """
     return _WZCM_ISOMETRY @ as_state_vector(bell_coeffs, 4)
-
-
-def shrink_map(rho: np.ndarray, s: float) -> np.ndarray:
-    """Isotropic shrink s*rho + (1-s)/4 * I of a two-qubit density matrix."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"shrink factor must lie in [0, 1], got {s!r}")
-    return s * _shape4(rho) + ((1.0 - s) / 4.0) * _IDENTITY4
 
 
 def family_shrink(machine: str, clones: int | None = None, s: float | None = None) -> float:
@@ -142,12 +119,20 @@ def family_shrink(machine: str, clones: int | None = None, s: float | None = Non
 def clone(state, machine: str, clones: int | None = None, s: float | None = None) -> np.ndarray:
     """One copy of the pure two-qubit ``state`` made by ``machine``.
 
-    wzcm mixes the state's Bell components; scm and acm shrink it by
-    ``family_shrink(machine, clones, s)``.
+    wzcm copies the state's Bell components c_i as the mixture
+    sum_i |c_i|^2 |bell_i><bell_i|; scm and acm give the isotropic shrink
+    s |state><state| + (1-s)/4 I with s = ``family_shrink(machine, clones, s)``.
     """
+    v = as_state_vector(state, 4)
     if machine == "wzcm":
-        return wzcm_clone(to_bell_basis(state))
-    return shrink_map(density_of(state), family_shrink(machine, clones, s))
+        c = BELL_MATRIX.conj() @ v
+        rho = np.zeros((4, 4), dtype=np.complex128)
+        for w, proj in zip((c.conj() * c).real, _BELL_PROJECTORS):
+            if w != 0.0:
+                rho = rho + w * proj
+        return rho
+    s = family_shrink(machine, clones, s)
+    return s * np.outer(v, v.conj()) + ((1.0 - s) / 4.0) * _IDENTITY4
 
 
 def acm_boundary_s2(s1, branch: str = "upper"):
@@ -172,36 +157,3 @@ def acm_boundary_s2(s1, branch: str = "upper"):
     else:
         s2 = (7.0 * (1.0 - s) - root) / 8.0
     return float(s2) if s2.ndim == 0 else s2
-
-
-def wzcm_clone_closed(alpha: float) -> np.ndarray:
-    """Closed form of either WZCM clone of alpha|01> - beta|10>.
-
-    Diagonal 1/2 on |01> and |10>, off-diagonal -alpha*beta between them.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    beta = math.sqrt(1.0 - alpha * alpha)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[1, 1] = 0.5
-    rho[2, 2] = 0.5
-    rho[1, 2] = -alpha * beta
-    rho[2, 1] = -alpha * beta
-    return rho
-
-
-def acm_clone_closed(alpha: float, s: float) -> np.ndarray:
-    """Closed form of the shrink-s ACM clone of alpha|01> - beta|10>."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s!r}")
-    beta = math.sqrt(1.0 - alpha * alpha)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[0, 0] = (1.0 - s) / 4.0
-    rho[3, 3] = (1.0 - s) / 4.0
-    rho[1, 1] = ((4.0 * alpha * alpha - 1.0) * s + 1.0) / 4.0
-    rho[2, 2] = ((4.0 * beta * beta - 1.0) * s + 1.0) / 4.0
-    rho[1, 2] = -s * alpha * beta
-    rho[2, 1] = -s * alpha * beta
-    return rho

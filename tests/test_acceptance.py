@@ -12,22 +12,11 @@ import time
 import numpy as np
 
 from qclone.cli import main
-from qclone.cloners import (
-    acm_boundary_s2,
-    acm_clone_closed,
-    clone,
-    wzcm_clone,
-    wzcm_clone_closed,
-)
+from qclone.cloners import acm_boundary_s2, clone
 from qclone.entanglement import SIGMA_Y_PAIR, concurrence, concurrence_xstate, fidelity
-from qclone.states import (
-    BELL_MATRIX,
-    BELL_ORDER,
-    bell_state,
-    density_of,
-    psi_minus_family,
-    to_bell_basis,
-)
+from qclone.states import BELL_MATRIX, psi_minus_family
+
+from closed_forms import BELL_ORDER, acm_clone_closed, bell_state, wzcm_clone_closed
 
 SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
 
@@ -74,8 +63,9 @@ def test_criterion_02_singlet_reduction_factor():
 def test_criterion_03_wzcm_preservation():
     worst = 0.0
     for alpha in np.linspace(0.0, 1.0, 201):
-        e_in = concurrence(density_of(psi_minus_family(alpha))).eof
-        e_out = concurrence(clone(psi_minus_family(alpha), "wzcm")).eof
+        state = psi_minus_family(alpha)
+        e_in = concurrence(np.outer(state, state.conj())).eof
+        e_out = concurrence(clone(state, "wzcm")).eof
         worst = max(worst, abs(e_out - e_in))
     _report(3, "wzcm preservation", worst <= 1e-10)
 
@@ -84,14 +74,14 @@ def test_criterion_04_wzcm_fidelity_extremes():
     ok = True
     # the overlap of a clone with the input, as `qclone entangle` reports it
     for which in BELL_ORDER:
-        coeffs = to_bell_basis(bell_state(which))
-        ok = ok and abs(fidelity(bell_state(which), wzcm_clone(coeffs)) - 1.0) <= 1e-12
+        b = bell_state(which)
+        ok = ok and abs(fidelity(b, clone(b, "wzcm")) - 1.0) <= 1e-12
     for bits in range(8):
         coeffs = np.array(
             [0.5, *(0.5 if bits >> i & 1 else -0.5 for i in range(3))]
         )
         state = BELL_MATRIX.T @ coeffs
-        ok = ok and abs(fidelity(state, wzcm_clone(coeffs)) - 0.25) <= 1e-12
+        ok = ok and abs(fidelity(state, clone(state, "wzcm")) - 0.25) <= 1e-12
     _report(4, "wzcm fidelity extremes", ok)
 
 
@@ -110,7 +100,7 @@ def test_criterion_06_closed_form_equivalence():
         state = psi_minus_family(alpha)
         worst = max(
             worst,
-            np.max(np.abs(wzcm_clone(to_bell_basis(state)) - wzcm_clone_closed(alpha))),
+            np.max(np.abs(clone(state, "wzcm") - wzcm_clone_closed(alpha))),
             np.max(np.abs(clone(state, "scm") - acm_clone_closed(alpha, 3 / 5))),
         )
         for s in np.linspace(0.0, 1.0, 21):

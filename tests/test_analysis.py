@@ -26,7 +26,6 @@ from qclone.cloners import (
     ConstraintViolatedError,
     ShrinkParams,
     acm_boundary_s2,
-    acm_clone_closed,
     acm_degenerate,
     acm_region_value,
     clone,
@@ -36,6 +35,7 @@ from qclone.cli import main
 from qclone.entanglement import concurrence, concurrence_xstate, eof_from_concurrence
 from qclone.states import psi_minus_family
 
+from closed_forms import acm_clone_closed
 from figure_table import figure_table
 
 SINGLET = 1 / math.sqrt(2)

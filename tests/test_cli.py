@@ -5,6 +5,7 @@ compared against the library API, and the failure paths are checked for
 their exit codes and one-line diagnostics.
 """
 
+import decimal
 import errno
 import io
 import math
@@ -25,12 +26,13 @@ from qclone.analysis import (
     QuadratureConvergenceError,
     family_eof,
     mean_entanglement,
+    mean_entanglement_acm,
 )
 from qclone.cli import GRID_POINTS_MAX, main
 from qclone.cloners import (
     CONSTRAINT_SLACK,
+    ShrinkParams,
     acm_boundary_s2,
-    acm_clone_closed,
     acm_region_value,
     clone,
     family_shrink,
@@ -38,6 +40,7 @@ from qclone.cloners import (
 from qclone.entanglement import concurrence
 from qclone.states import psi_minus_family
 
+from closed_forms import acm_clone_closed
 from figure_table import figure_table
 
 
@@ -74,6 +77,43 @@ def test_mean_wzcm_matches_api(capsys):
     assert int(rows[0][2]) > 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--machine", "wzcm"],
+        ["--machine", "scm"],
+        ["--machine", "acm", "--s1", "0.7", "--s2", "0.48"],
+        ["--machine", "acm", "--s1", "0.355", "--s2", "0.355"],
+    ],
+)
+def test_mean_estimate_is_rounded_up_to_two_digits(capsys, flags):
+    # |Q_32 - Q_16| is roundoff-sized, so its digits past the second depend
+    # on the BLAS kernel; the printed estimate keeps 2 and stays a bound
+    rc, out, _ = run_cli(capsys, ["mean", *flags])
+    assert rc == 0
+    text = parse_csv(out)[2][0][1]
+    if flags[1] == "acm":
+        params = ShrinkParams(float(flags[3]), float(flags[5]))
+        exact = mean_entanglement_acm(params, 1e-7).abs_error_estimate
+    else:
+        exact = mean_entanglement(flags[1], 1e-7).abs_error_estimate
+    printed = decimal.Decimal(text)
+    assert len(printed.as_tuple().digits) <= 2
+    assert decimal.Decimal(exact) <= printed
+
+
+def test_round_up_keeps_two_digits_and_never_lowers():
+    rng = np.random.default_rng(12)
+    values = [0.0, 5.3e-13, 1e-13, 9.95e-13, 1.00266822e-13, 5.25659508e-13]
+    values += (10.0 ** rng.uniform(-16, 2, 2000)).tolist()
+    for x in values:
+        printed = decimal.Decimal("%.9g" % qclone.cli._round_up(x))
+        exact = decimal.Decimal(x)
+        assert len(printed.as_tuple().digits) <= 2
+        assert exact <= printed
+        assert printed - exact < decimal.Decimal(1).scaleb(exact.adjusted() - 1), x
+
+
 def test_mean_acm_requires_both_shrinks(capsys):
     rc, out, err = run_cli(capsys, ["mean", "--machine", "acm", "--s1", "0.8"])
     assert rc == 2
@@ -94,8 +134,9 @@ def test_mean_rejects_stray_shrink_flags(capsys):
     assert rc == 2 and "--s1" in err
 
 
-def test_mean_rejects_unreachable_tolerance(capsys):
-    rc, out, err = run_cli(capsys, ["mean", "--machine", "wzcm", "--quad-tol", "1e-12"])
+@pytest.mark.parametrize("tol", ["1e-12", "-1e-09"])
+def test_mean_rejects_unreachable_tolerance(capsys, tol):
+    rc, out, err = run_cli(capsys, ["mean", "--machine", "wzcm", "--quad-tol", tol])
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and "quad-tol" in err
 
@@ -223,7 +264,7 @@ def test_too_few_clones_is_a_usage_error(capsys, command, clones):
     assert err == f"qclone: error: --clones: clone count must be at least 2, got {clones}\n"
 
 
-@pytest.mark.parametrize("value", ["-0.1", "1.1", "nan"])
+@pytest.mark.parametrize("value", ["-0.1", "-1e-09", "1.1", "nan"])
 @pytest.mark.parametrize(
     "named, argv",
     [
@@ -543,8 +584,9 @@ def test_grid_points_is_checked_before_alpha(capsys, command):
 @pytest.mark.parametrize("value", ["1.0000001", "-1e-09"])
 @pytest.mark.parametrize("command", ["fig2", "fig3"])
 def test_figure_alpha_diagnostic_shows_the_value_given(capsys, command, value):
-    # by repr: a value just outside [0, 1] must not read as an endpoint
-    rc, out, err = run_cli(capsys, [command, f"--alpha={value}"])
+    # by repr: a value just outside [0, 1] must not read as an endpoint;
+    # -1e-09 is a value, though argparse before Python 3.13 reads it as a flag
+    rc, out, err = run_cli(capsys, [command, "--alpha", value])
     assert rc == 2 and out == ""
     assert err == f"qclone: error: --alpha must lie in [0, 1], got {value}\n"
 
@@ -598,6 +640,7 @@ def oracle_argvs():
         ["fig1", "--grid-points", "11", "--bogus", "x", "y"],
         ["fig1", "--", "x"],
         ["fig2", "--alpha", "-0.5"],
+        ["fig2", "--alpha", "-1e-09"],
         ["fig2", "--alpha", "abc"],
         ["fig1", "--grid-points", "x"],
         ["fig3", "--branch", "middle"],

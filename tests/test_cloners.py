@@ -1,35 +1,27 @@
-"""Cloning machines: closed forms, fidelities, shrink maps, region geometry."""
+"""Cloning machines: closed forms, fidelities, shrinks, region geometry."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import qclone
 from qclone.cloners import (
     CONSTRAINT_SLACK,
     ShrinkParams,
     acm_boundary_s2,
-    acm_clone_closed,
     acm_degenerate,
     acm_region_value,
     clone,
     family_shrink,
-    shrink_map,
-    wzcm_clone,
-    wzcm_clone_closed,
     wzcm_full_output,
 )
 from qclone.entanglement import fidelity
 from qclone.qmath import partial_trace
-from qclone.states import (
-    BELL_MATRIX,
-    BELL_ORDER,
-    bell_state,
-    density_of,
-    psi_minus_family,
-    to_bell_basis,
-)
+from qclone.states import BELL_MATRIX, psi_minus_family
 
+from closed_forms import BELL_ORDER, acm_clone_closed, bell_state, wzcm_clone_closed
 from density_check import assert_density_matrix
 
 ALPHAS = np.linspace(0.0, 1.0, 101)
@@ -65,17 +57,18 @@ def test_clone_outputs_are_density_matrices():
 
 def test_wzcm_clones_bell_states_perfectly():
     for which in BELL_ORDER:
-        coeffs = to_bell_basis(bell_state(which))
-        rho = wzcm_clone(coeffs)
-        assert abs(fidelity(bell_state(which), rho) - 1.0) < 1e-14
-        assert np.max(np.abs(rho - density_of(bell_state(which)))) < 1e-14
+        b = bell_state(which)
+        rho = clone(b, "wzcm")
+        assert abs(fidelity(b, rho) - 1.0) < 1e-14
+        assert np.max(np.abs(rho - np.outer(b, b.conj()))) < 1e-14
 
 
 def test_wzcm_minimal_fidelity_at_uniform_coefficients():
     # every sign pattern of (+-1/2, +-1/2, +-1/2, +-1/2) hits the floor 1/4
     for bits in range(16):
         coeffs = np.array([0.5 if bits >> i & 1 else -0.5 for i in range(4)])
-        assert abs(fidelity(BELL_MATRIX.T @ coeffs, wzcm_clone(coeffs)) - 0.25) < 1e-14
+        state = BELL_MATRIX.T @ coeffs
+        assert abs(fidelity(state, clone(state, "wzcm")) - 0.25) < 1e-14
 
 
 def test_wzcm_fidelity_of_family_state():
@@ -83,17 +76,17 @@ def test_wzcm_fidelity_of_family_state():
         beta = math.sqrt(1 - alpha * alpha)
         state = psi_minus_family(alpha)
         want = ((alpha - beta) ** 4 + (alpha + beta) ** 4) / 4.0
-        assert abs(fidelity(state, wzcm_clone(to_bell_basis(state))) - want) < 1e-13
+        assert abs(fidelity(state, clone(state, "wzcm")) - want) < 1e-13
 
 
 def test_wzcm_full_output_traces_to_clone():
     for alpha in (0.2, 0.55, 0.8):
-        coeffs = to_bell_basis(psi_minus_family(alpha))
-        full = wzcm_full_output(coeffs)
+        state = psi_minus_family(alpha)
+        full = wzcm_full_output(BELL_MATRIX.conj() @ state)
         assert abs(np.vdot(full, full).real - 1.0) < 1e-13
-        clone = wzcm_clone(coeffs)
-        assert np.max(np.abs(partial_trace(full, "clone1") - clone)) < 1e-13
-        assert np.max(np.abs(partial_trace(full, "clone2") - clone)) < 1e-13
+        copy = clone(state, "wzcm")
+        assert np.max(np.abs(partial_trace(full, "clone1") - copy)) < 1e-13
+        assert np.max(np.abs(partial_trace(full, "clone2") - copy)) < 1e-13
 
 
 def test_wzcm_full_output_equals_kron_sum_bitwise():
@@ -119,7 +112,7 @@ def test_wzcm_uniform_amplitudes_give_maximally_mixed_clone():
 
 
 def test_wzcm_machine_record_is_diagonal_in_weights():
-    coeffs = to_bell_basis(psi_minus_family(0.35))
+    coeffs = BELL_MATRIX.conj() @ psi_minus_family(0.35)
     weights = np.abs(coeffs) ** 2
     machine = partial_trace(wzcm_full_output(coeffs), "machine")
     assert np.max(np.abs(machine - np.diag(weights))) < 1e-13
@@ -152,14 +145,25 @@ def test_family_shrink_rejects_bad_inputs(machine, kwargs, message):
         clone(psi_minus_family(0.6), machine, **kwargs)
 
 
-def test_shrink_map_limits():
-    rho = density_of(psi_minus_family(0.6))
-    assert np.array_equal(shrink_map(rho, 1.0), rho)
-    assert np.max(np.abs(shrink_map(rho, 0.0) - np.eye(4) / 4.0)) < 1e-15
-    mixed = shrink_map(rho, 0.5)
+def test_acm_shrink_limits():
+    # s = 1 keeps the input projector, s = 0 leaves the maximally mixed state
+    state = psi_minus_family(0.6)
+    rho = np.outer(state, state.conj())
+    kept = clone(state, "acm", s=1.0)
+    assert np.array_equal(kept, rho)
+    assert_density_matrix(kept)
+    assert np.max(np.abs(kept @ kept - kept)) < 1e-14
+    assert np.max(np.abs(clone(state, "acm", s=0.0) - np.eye(4) / 4.0)) < 1e-15
+    mixed = clone(state, "acm", s=0.5)
     assert abs(np.trace(mixed).real - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        shrink_map(rho, 1.2)
+
+
+def test_acm_shrink_is_checked_once_by_family_shrink():
+    with pytest.raises(ValueError, match=r"^s must lie in \[0, 1\], got 1\.2$"):
+        clone(psi_minus_family(0.6), "acm", s=1.2)
+    package = pathlib.Path(qclone.__file__).parent
+    for source in package.glob("*.py"):
+        assert "shrink factor must lie" not in source.read_text(), source.name
 
 
 def test_acm_at_scm_shrink_is_bitwise_scm():
@@ -250,9 +254,9 @@ def test_boundary_rejects_bad_inputs():
         acm_boundary_s2(1.3, "upper")
 
 
-def test_wzcm_clone_rejects_unnormalized_coefficients():
+def test_wzcm_rejects_unnormalized_state():
     with pytest.raises(ValueError):
-        wzcm_clone(np.array([1.0, 1.0, 0.0, 0.0]))
+        clone(np.array([1.0, 1.0, 0.0, 0.0]), "wzcm")
 
 
 def test_complex_bell_coefficients_accepted():
@@ -260,7 +264,7 @@ def test_complex_bell_coefficients_accepted():
     for _ in range(20):
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
         c /= np.linalg.norm(c)
-        rho = wzcm_clone(c)
+        rho = clone(BELL_MATRIX.T @ c, "wzcm")
         assert_density_matrix(rho)
         weights = np.abs(c) ** 4
         assert abs(fidelity(BELL_MATRIX.T @ c, rho) - weights.sum()) < 1e-13

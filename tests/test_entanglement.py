@@ -33,7 +33,7 @@ from qclone.qmath import (
     NotPSDError,
     psd_factor,
 )
-from qclone.states import density_of, psi_minus_family
+from qclone.states import psi_minus_family
 
 
 def random_pure(rng):
@@ -248,8 +248,9 @@ def test_generic_matches_xstate_closed_form_on_cloner_outputs():
 
 def test_wzcm_preserves_input_entanglement():
     for alpha in np.linspace(0.0, 1.0, 201):
-        e_in = concurrence(density_of(psi_minus_family(alpha))).eof
-        e_out = concurrence(clone(psi_minus_family(alpha), "wzcm")).eof
+        state = psi_minus_family(alpha)
+        e_in = concurrence(np.outer(state, state.conj())).eof
+        e_out = concurrence(clone(state, "wzcm")).eof
         assert abs(e_out - e_in) <= 1e-10
 
 
@@ -313,7 +314,8 @@ def test_concurrence_of_separable_states_is_zero():
 
 
 def test_concurrence_of_bell_projector_is_one():
-    rho = density_of(psi_minus_family(1 / math.sqrt(2)))
+    singlet = psi_minus_family(1 / math.sqrt(2))
+    rho = np.outer(singlet, singlet.conj())
     assert abs(concurrence(rho).concurrence - 1.0) < 1e-12
 
 
@@ -338,7 +340,8 @@ def test_concurrence_rejects_non_hermitian_indefinite_and_nan_input():
     # Werner state at p = 1.1376: eigenvalues (1 - p)/4 = -0.0344 (three
     # times) and (1 + 3p)/4, trace 1; the message prints a plain float
     p = 1.1376
-    werner = p * density_of(psi_minus_family(1 / math.sqrt(2))) + (1 - p) / 4 * np.eye(4)
+    singlet = psi_minus_family(1 / math.sqrt(2))
+    werner = p * np.outer(singlet, singlet.conj()) + (1 - p) / 4 * np.eye(4)
     message = r"^eigenvalue -0\.034\d+ below the -1e-10 roundoff floor$"
     with pytest.raises(NotPSDError, match=message):
         concurrence(werner)
@@ -370,7 +373,7 @@ def test_xstate_detection():
 
 def test_fidelity_reference_points():
     state = psi_minus_family(0.6)
-    assert abs(fidelity(state, density_of(state)) - 1.0) < 1e-14
+    assert abs(fidelity(state, np.outer(state, state.conj())) - 1.0) < 1e-14
     assert abs(fidelity(state, np.eye(4, dtype=np.complex128) / 4.0) - 0.25) < 1e-14
     # shrink-map output interpolates linearly: F = s + (1-s)/4
     assert abs(fidelity(state, clone(state, "acm", s=0.8)) - 0.85) < 1e-14

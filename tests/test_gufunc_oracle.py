@@ -18,7 +18,7 @@ from numpy.linalg import _umath_linalg
 from qclone import cli
 from qclone.entanglement import _FLIP_SIGNS, concurrence
 from qclone.qmath import SQRT_ZERO_FLOOR, hermitian_eigen, psd_factor
-from qclone.states import density_of, psi_minus_family
+from qclone.states import psi_minus_family
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 
@@ -45,7 +45,8 @@ def xstate(rng):
 def werner(rng, rotate):
     # p around the separability edge 1/3, and local unitaries that hide the X shape
     p = 1.0 / 3.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, -0.5)
-    rho = p * density_of(psi_minus_family(1.0 / math.sqrt(2.0))) + (1.0 - p) / 4.0 * np.eye(4)
+    singlet = psi_minus_family(1.0 / math.sqrt(2.0))
+    rho = p * np.outer(singlet, singlet.conj()) + (1.0 - p) / 4.0 * np.eye(4)
     if rotate:
         u = np.kron(unitary(rng, 2), unitary(rng, 2))
         rho = u @ rho @ u.conj().T

@@ -23,9 +23,9 @@ import math
 import numpy as np
 import pytest
 
-from qclone.cloners import acm_boundary_s2, acm_region_value, family_shrink, shrink_map
+from qclone.cloners import acm_boundary_s2, acm_region_value, clone
 from qclone.qmath import partial_trace
-from qclone.states import density_of, psi_minus_family
+from qclone.states import psi_minus_family
 
 D = 4
 #: inputs: the family, next to the singlet and at its ends, and random
@@ -64,7 +64,7 @@ def test_werner_copies_are_the_scm_shrink(m):
         out = werner_isometry(state, m)
         first = out.reshape(D, -1)
         last = np.moveaxis(out.reshape(D ** (m - 1), D, -1), 1, 0).reshape(D, -1)
-        want = shrink_map(density_of(state), family_shrink("scm", m))
+        want = clone(state, "scm", m)
         for copy in (first, last):
             assert np.max(np.abs(reduced(copy) - want)) <= 1e-14
 
@@ -76,21 +76,18 @@ def cerf_output(state, a: complex, b: complex) -> np.ndarray:
     return (a * first + b * first.transpose(1, 0, 2)).ravel()
 
 
-def copy_of(rho: np.ndarray, s: float) -> np.ndarray:
-    """s rho + (1-s)/4 I: shrink_map inside the unit square, and the same
-    affine map written out where the lower branch takes s2 below 0."""
-    return shrink_map(rho, s) if s >= 0.0 else s * rho + (1.0 - s) / D * np.eye(D)
-
-
 def check_cerf_copies(a: complex, b: complex) -> tuple[float, float]:
     """Both copies of every input against the shrinks 1 - |b|^2 and
     1 - |a|^2; returns that pair."""
     s1, s2 = 1.0 - abs(b) ** 2, 1.0 - abs(a) ** 2
     for state in INPUTS:
         out = cerf_output(state, a, b)
-        rho = density_of(state)
-        assert np.max(np.abs(partial_trace(out, "clone1") - shrink_map(rho, s1))) <= 1e-14
-        assert np.max(np.abs(partial_trace(out, "clone2") - copy_of(rho, s2))) <= 1e-14
+        assert np.max(np.abs(partial_trace(out, "clone1") - clone(state, "acm", s=s1))) <= 1e-14
+        # s2 drops below 0 where the lower branch leaves the unit square, so
+        # the second copy is checked against s rho + (1-s)/4 I written out
+        rho = np.outer(state, state.conj())
+        want = s2 * rho + (1.0 - s2) / D * np.eye(D)
+        assert np.max(np.abs(partial_trace(out, "clone2") - want)) <= 1e-14
     return s1, s2
 
 

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from qclone.states import (
-    BELL_MATRIX,
-    BELL_ORDER,
-    bell_state,
-    density_of,
-    psi_minus_family,
-    to_bell_basis,
-)
+from qclone.states import BELL_MATRIX, psi_minus_family
 
+from closed_forms import BELL_ORDER, bell_state
 from density_check import assert_density_matrix
 
 
@@ -77,7 +71,7 @@ def test_bell_basis_round_trip():
     for _ in range(100):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
-        coeffs = to_bell_basis(v)
+        coeffs = BELL_MATRIX.conj() @ v
         back = BELL_MATRIX.T @ coeffs
         assert np.max(np.abs(back - v)) < 1e-14
         assert abs(np.vdot(coeffs, coeffs).real - 1.0) < 1e-13
@@ -86,19 +80,12 @@ def test_bell_basis_round_trip():
 def test_bell_coefficients_of_family_state():
     alpha = 0.3
     beta = np.sqrt(1 - alpha**2)
-    c = to_bell_basis(psi_minus_family(alpha))
+    c = BELL_MATRIX.conj() @ psi_minus_family(alpha)
     r2 = np.sqrt(2.0)
     # alpha|01> - beta|10> splits over psi_plus and psi_minus
     assert abs(c[0]) < 1e-15 and abs(c[1]) < 1e-15
     assert abs(c[2] - (alpha - beta) / r2) < 1e-15
     assert abs(c[3] - (alpha + beta) / r2) < 1e-15
-
-
-def test_density_of_is_valid_projector():
-    v = psi_minus_family(0.42)
-    rho = density_of(v)
-    assert_density_matrix(rho)
-    assert np.max(np.abs(rho @ rho - rho)) < 1e-14
 
 
 def test_assert_density_matrix_rejects_bad_inputs():

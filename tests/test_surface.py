@@ -5,8 +5,10 @@ object of the same name in its submodule, and the README's quick start runs
 as written.  The benchmark's traced mode (``perfbench/spans.py`` and
 ``perfbench/child.py``) wraps public functions by module and name, binds the
 parameters of the two alpha-mean functions by name and reads
-``EntanglementReport.method``; the last tests pin those, so a rename fails
-here instead of leaving a traced metric at zero.
+``EntanglementReport.method``; its generic workload also calls
+``wzcm_full_output`` and ``partial_trace``, whose trace must be the wzcm
+``clone``.  The last tests pin those, so a rename fails here instead of
+leaving a traced metric at zero.
 """
 
 import inspect
@@ -20,6 +22,7 @@ import qclone.analysis
 import qclone.cli
 import qclone.entanglement
 import qclone.qmath
+import qclone.states
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 SUBMODULES = ("analysis", "cloners", "entanglement", "qmath", "states")
@@ -61,7 +64,8 @@ def test_benchmark_hooked_functions():
     assert qclone.concurrence(rho).method == "generic"
     coeffs = np.array([0.5, 0.5j, -0.5, 0.5])
     reduced = qclone.partial_trace(qclone.wzcm_full_output(coeffs), "clone1")
-    assert np.max(np.abs(reduced - qclone.wzcm_clone(coeffs))) < 1e-14
+    state = qclone.states.BELL_MATRIX.T @ coeffs
+    assert np.max(np.abs(reduced - qclone.clone(state, "wzcm"))) < 1e-14
 
 
 def test_benchmark_binds_the_mean_parameters(monkeypatch, tmp_path):
