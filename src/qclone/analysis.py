@@ -144,8 +144,9 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     u2, w = _gl_rules(GL_ORDER)
     theta = theta1 + h * u2
     c = np.minimum(np.maximum(col * np.sin(2.0 * theta) - (1.0 - col) / 2.0, 0.0), 1.0)
-    # cos + sin = sqrt(2) sin(theta + pi/4)
-    q = (_wootters_eof(c) * np.sin(theta + 0.25 * np.pi)) @ w
+    # cos + sin = sqrt(2) sin(theta + pi/4); einsum, not @, whose BLAS kernel
+    # follows the row count: a shrink's bits must not depend on its batch
+    q = np.einsum("ij,jk->ik", _wootters_eof(c) * np.sin(theta + 0.25 * np.pi), w)
     q *= math.sqrt(2.0) * h
     value = q[:, 1].reshape(s.shape)
     err = (np.abs(q[:, 1] - q[:, 0]) + GL_ROUNDOFF).reshape(s.shape)

@@ -13,10 +13,12 @@ its table, (header, columns), before a byte is written, so numeric and
 usage failures write nothing; main then formats and writes the rows
 BLOCK_ROWS at a time, never held as one string.
 
-Flags are parsed at the subcommand: when the first argument names a
-command, that command's parser reads the rest, and the top-level parser
-only handles a missing or unknown command, -h, and reports arguments the
-subcommand left over, with the messages and exit codes of one full parse.
+Each command is declared once, by its subparser, which carries the
+function that builds its table as the ``table`` default.  Flags are parsed
+at the subcommand: when the first argument names a command, that command's
+parser reads the rest, and the top-level parser only handles a missing or
+unknown command, -h, and reports arguments the subcommand left over, with
+the messages and exit codes of one full parse.
 
 --output PATH rewrites the file in place: an existing file keeps its
 inode and its mode, so hard links and symlinks to it see the new CSV; a
@@ -65,8 +67,8 @@ _BOOL_WORDS = np.array(["false", "true"], dtype=object)
 
 
 def _texts(values: np.ndarray) -> list[str]:
-    """Each value formatted by %.9g, in one % over a joined template."""
-    return ("%.9g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    """Each value formatted by the float spec, in one % over a joined template."""
+    return ((_SPECS["f"] + "\n") * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
 def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
@@ -181,12 +183,6 @@ def _boundary(s1: np.ndarray, branch: str) -> np.ndarray:
     return np.minimum(np.maximum(cloners.acm_boundary_s2(s1, branch), 0.0), 1.0)
 
 
-def _repeat_tile(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices of the outer and inner input of the rows of an n x n
-    sweep: row i takes i // n and i % n, the np.repeat and np.tile order."""
-    return np.divmod(np.arange(n * n), n)
-
-
 def _clone_matrix(args) -> tuple[np.ndarray, np.ndarray]:
     """The input state of clone/entangle and its clone matrix.  An unset
     scm --clones is stored as the 2 it stands for, so the config names it."""
@@ -242,16 +238,13 @@ def _cmd_mean(args) -> tuple:
         if args.s1 is None or args.s2 is None:
             raise _UsageError("--machine acm needs both --s1 and --s2")
         params = _library_check("--s1/--s2", cloners.ShrinkParams, args.s1, args.s2)
-        try:
-            result = analysis.mean_entanglement_acm(params, args.quad_tol)
-        except cloners.ConstraintViolatedError as exc:
-            raise _UsageError(f"--s1/--s2: {exc}") from exc
+        result = _library_check("--s1/--s2", analysis.mean_entanglement_acm, params, args.quad_tol)
     else:
         if args.s1 is not None or args.s2 is not None:
             raise _UsageError("--s1/--s2 only apply to --machine acm")
         result = analysis.mean_entanglement(args.machine, args.quad_tol)
     # |Q_2n - Q_n| is roundoff-sized here, and its digits past the second
-    # follow the BLAS kernel; rounded up, the estimate stays a bound
+    # follow the SIMD kernels; rounded up, the estimate stays a bound
     row = (result.value, _round_up(result.abs_error_estimate), result.evaluations)
     return ["value", "abs_error_estimate", "evaluations"], [np.array([x]) for x in row]
 
@@ -266,7 +259,8 @@ def _cmd_fig1(args) -> tuple:
 def _cmd_fig2(args) -> tuple:
     grid = _grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
-    outer, inner = _repeat_tile(args.grid_points)
+    # row i of the n x n sweep takes i // n and i % n, the repeat and tile order
+    outer, inner = np.divmod(np.arange(grid.size**2), grid.size)
     s1, s2 = grid[outer], grid[inner]
     eof = analysis._family_eof(args.alpha, grid)
     # pairs outside the region take index -1 and get no average
@@ -292,7 +286,8 @@ def _cmd_fig4(args) -> tuple:
     s2 = _boundary(grid, args.branch)
     eof = analysis._family_eof(grid[:, None], np.array((grid, s2))[:, None, :])
     values = (0.5 * (eof[0] + eof[1])).ravel()
-    outer, inner = _repeat_tile(args.grid_points)
+    # row i of the n x n sweep takes i // n and i % n, the repeat and tile order
+    outer, inner = np.divmod(np.arange(grid.size**2), grid.size)
     degenerate = cloners.acm_degenerate(grid, s2)[inner]
     columns = [(grid, outer), (grid, inner), (s2, inner), values, degenerate]
     return ["alpha", "s1", "s2", "avg_eof", "degenerate"], columns
@@ -312,77 +307,62 @@ def _cmd_fig5(args) -> tuple:
     return header, columns
 
 
-_COMMANDS = {
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "fig5": _cmd_fig5,
-    "clone": _cmd_clone,
-    "entangle": _cmd_entangle,
-    "mean": _cmd_mean,
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Cloning-machine entanglement data series as CSV.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, table):
         p = sub.add_parser(name, help=help_text)
         # Python 3.13's pattern: before it, argparse reads a value such as
         # -1e-09 as a flag and only -N and -N.N as negative numbers
         p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p.set_defaults(table=table)
         p.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
         return p
 
-    p = add("fig1", "per-alpha clone entanglement, both symmetric machines")
+    p = add("fig1", "per-alpha clone entanglement, both symmetric machines", _cmd_fig1)
     p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
 
-    p = add("fig2", "two-copy average entanglement over the (s1, s2) square")
+    p = add("fig2", "two-copy average entanglement over the (s1, s2) square", _cmd_fig2)
     p.add_argument("--alpha", type=float, default=_SINGLET_ALPHA)
     p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
 
-    p = add("fig3", "two-copy average entanglement along a boundary branch")
+    p = add("fig3", "two-copy average entanglement along a boundary branch", _cmd_fig3)
     p.add_argument("--alpha", type=float, default=_SINGLET_ALPHA)
     p.add_argument("--branch", choices=cloners.BRANCHES, default="upper")
     p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
 
-    p = add("fig4", "boundary-branch average entanglement over (alpha, s1)")
+    p = add("fig4", "boundary-branch average entanglement over (alpha, s1)", _cmd_fig4)
     p.add_argument("--branch", choices=cloners.BRANCHES, default="upper")
     p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
 
-    p = add("fig5", "alpha-averaged entanglement along a boundary branch")
+    p = add("fig5", "alpha-averaged entanglement along a boundary branch", _cmd_fig5)
     p.add_argument("--branch", choices=cloners.BRANCHES, default="upper")
     p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
     p.add_argument("--quad-tol", type=float, default=analysis.QUAD_DEFAULT_TOL)
 
-    for name, help_text in (
-        ("clone", "density matrix of a single clone"),
-        ("entangle", "entanglement report for a single clone"),
+    for name, help_text, table in (
+        ("clone", "density matrix of a single clone", _cmd_clone),
+        ("entangle", "entanglement report for a single clone", _cmd_entangle),
     ):
-        p = add(name, help_text)
+        p = add(name, help_text, table)
         p.add_argument("--machine", choices=cloners.MACHINES, required=True)
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--clones", type=int, default=None)
         p.add_argument("--s1", type=float, default=None)
 
-    p = add("mean", "clone entanglement averaged over the input family")
+    p = add("mean", "clone entanglement averaged over the input family", _cmd_mean)
     p.add_argument("--machine", choices=cloners.MACHINES, required=True)
     p.add_argument("--quad-tol", type=float, default=analysis.QUAD_DEFAULT_TOL)
     p.add_argument("--s1", type=float, default=None)
     p.add_argument("--s2", type=float, default=None)
 
     return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept: each parse returns a fresh namespace."""
-    return build_parser()
 
 
 def _subparser(command: str) -> argparse.ArgumentParser | None:
@@ -426,7 +406,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        table = _COMMANDS[args.command](args)
+        table = args.table(args)
         output = _open_output(args.output)
     except _UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

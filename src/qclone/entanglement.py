@@ -42,8 +42,9 @@ SIGMA_Y_PAIR = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 #: its nonzero entries Y[3-j, j], so that F^T Y = F^T[:, ::-1] * _FLIP_SIGNS.
 _FLIP_SIGNS = SIGMA_Y_PAIR[::-1].diagonal().copy()
 
-#: index pairs allowed to be nonzero in an X-shaped density matrix.
-_X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
+#: entries that must vanish in an X-shaped density matrix: all but the
+#: diagonal and the anti-diagonal.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 class NotXStateError(ValueError):
@@ -122,10 +123,11 @@ def concurrence_xstate(rho) -> float:
     """
     m = _as_matrix4(rho)
     _check_trace(float(m.trace().real))
-    for i in range(4):
-        for j in range(4):
-            if (i, j) not in _X_PATTERN and abs(m[i, j]) >= XSTATE_TOL:
-                raise NotXStateError(f"entry ({i}, {j}) = {m[i, j]!r} breaks the X pattern")
+    # argwhere lists the offending entries in row-major order
+    off = np.argwhere(_OFF_X & (np.abs(m) >= XSTATE_TOL))
+    if off.size:
+        i, j = off[0].tolist()
+        raise NotXStateError(f"entry ({i}, {j}) = {m[i, j]!r} breaks the X pattern")
     d = [max(float(m[i, i].real), 0.0) for i in range(4)]
     inner = abs(m[1, 2]) - math.sqrt(d[0] * d[3])
     outer = abs(m[0, 3]) - math.sqrt(d[1] * d[2])

@@ -471,6 +471,16 @@ def test_family_mean_is_elementwise_and_zero_below_one_third():
             family_mean(s, tol)
 
 
+def test_family_mean_bits_do_not_depend_on_the_batch():
+    # a BLAS matrix product picks its kernel by the number of rows, which
+    # moved last bits of values and estimates between batch sizes
+    shrinks = np.random.default_rng(0).uniform(0.0, 1.0, 3000)
+    batch = family_mean(shrinks)
+    singles = [family_mean(s) for s in shrinks]
+    assert batch.value.tolist() == [float(r.value) for r in singles]
+    assert batch.abs_error_estimate.tolist() == [float(r.abs_error_estimate) for r in singles]
+
+
 def test_family_mean_gives_up_above_its_tolerance(monkeypatch):
     # the 2- and 4-point pair misses 1e-10 at s = 1
     monkeypatch.setattr(qclone.analysis, "GL_ORDER", 2)

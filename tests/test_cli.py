@@ -126,7 +126,10 @@ def test_mean_rejects_point_outside_region(capsys):
         capsys, ["mean", "--machine", "acm", "--s1", "0.9", "--s2", "0.9"]
     )
     assert rc == 2 and out == ""
-    assert err.count("\n") == 1 and "region" in err
+    assert err == (
+        "qclone: error: --s1/--s2: (s1, s2) = (0.9, 0.9) "
+        "violates the region constraint by 2.5500000000000007\n"
+    )
 
 
 def test_mean_rejects_stray_shrink_flags(capsys):
@@ -667,6 +670,13 @@ def parse_outcome(capsys, parse, argv):
 def test_parse_at_the_subcommand_matches_the_full_parser(capsys, argv):
     want = parse_outcome(capsys, qclone.cli._parser().parse_args, argv)
     assert parse_outcome(capsys, qclone.cli._parse, argv) == want
+
+
+def test_each_subparser_carries_its_command_function():
+    (commands,) = qclone.cli._parser()._subparsers._group_actions
+    assert sorted(commands.choices) == sorted(FLAG_SAMPLES)
+    for name, sub in commands.choices.items():
+        assert sub.get_default("table") is getattr(qclone.cli, f"_cmd_{name}")
 
 
 class FailingWriter(io.StringIO):

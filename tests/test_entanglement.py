@@ -369,6 +369,13 @@ def test_xstate_detection():
     bad[1, 0] = 0.05
     with pytest.raises(NotXStateError):
         concurrence_xstate(bad)
+    # two off-pattern entries: the first in row-major order is named
+    two = np.eye(4, dtype=np.complex128) / 4.0
+    two[2, 0] = two[0, 2] = 0.03
+    two[3, 1] = two[1, 3] = 0.02j
+    message = r"^entry \(0, 2\) = np\.complex128\(0\.03\+0j\) breaks the X pattern$"
+    with pytest.raises(NotXStateError, match=message):
+        concurrence_xstate(two)
 
 
 def test_fidelity_reference_points():
