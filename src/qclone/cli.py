@@ -14,11 +14,12 @@ usage failures write nothing; main then formats and writes the rows
 BLOCK_ROWS at a time, never held as one string.
 
 Each command is declared once, by its subparser, which carries the
-function that builds its table as the ``table`` default.  Flags are parsed
-at the subcommand: when the first argument names a command, that command's
-parser reads the rest, and the top-level parser only handles a missing or
-unknown command, -h, and reports arguments the subcommand left over, with
-the messages and exit codes of one full parse.
+function that builds its table as the ``table`` default.  A plain command
+line, the command then ``--flag VALUE`` pairs, is read from that
+subparser's flags without running argparse: each value goes through its
+flag's type and choices, and the namespace is the one argparse builds.
+Everything else, and every line argparse would reject, is parsed by the
+full argparse parser, so messages and exit codes are argparse's own.
 
 --output PATH rewrites the file in place: an existing file keeps its
 inode and its mode, so hard links and symlinks to it see the new CSV; a
@@ -385,22 +386,49 @@ def _config(args: argparse.Namespace) -> list[tuple[str, object]]:
     ]
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, parsed at the subcommand.
-
-    When argv[0] names a command, that command's subparser in the cached
-    tree reads the rest with ``command`` preset, so the top-level parser
-    does not scan every sub-flag first; what it leaves over is reported by
-    the top-level parser with the message ``parse_args`` gives.  Anything
-    else (no command, an unknown one, -h) goes to the top-level parser.
-    """
-    sub = _subparser(argv[0]) if argv else None
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a plain argv (see _parse), None for any other."""
+    sub = _subparser(argv[0]) if len(argv) % 2 else None
     if sub is None:
-        return _parser().parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        return None
+    # what parse_args builds: the command, each flag's default and the
+    # subparser's own, then the values given (argparse would also pass a
+    # string default through its flag's type; no flag has both)
+    args = argparse.Namespace(command=argv[0])
+    for action in sub._actions:
+        if action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+    vars(args).update(sub._defaults)
+    given = set()
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.nargs is not None or action in given:
+            return None
+        if value.startswith("-") and not sub._negative_number_matcher.match(value):
+            return None
+        try:
+            value = sub._get_value(action, value)
+            sub._check_value(action, value)
+        except argparse.ArgumentError:
+            return None
+        action(sub, args, value, flag)
+        given.add(action)
+    if any(action.required and action not in given for action in sub._actions):
+        return None
     return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, without argparse for a plain argv:
+    a command, then ``--flag VALUE`` pairs, each flag an exact option
+    string of the command that takes one argument and appears once, each
+    VALUE not starting with ``-`` or looking like a negative number, so
+    argparse reads it as an argument.  Each VALUE goes through its flag's
+    type and choices.  Any other argv, or a plain one with a value argparse
+    rejects or a required flag missing, goes to the full parser, so its
+    messages and exit codes are argparse's."""
+    args = _parse_plain(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -5,9 +5,11 @@ compared against the library API, and the failure paths are checked for
 their exit codes and one-line diagnostics.
 """
 
+import argparse
 import decimal
 import errno
 import io
+import json
 import math
 import os
 import pathlib
@@ -18,6 +20,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qclone.analysis
 import qclone.cli
@@ -652,14 +655,24 @@ def oracle_argvs():
         ["clone", "--alpha", "0.6"],
         ["entangle", "--machine", "wzcm", "--alpha"],
         ["fig1", "--help=x"],
+        ["fig2", "--alpha", "-.5"],
+        ["fig2", "--alpha", "-1x"],
+        ["fig2", "--alpha", "nan"],
+        ["fig1", "--grid-points", "1_1"],
+        ["fig1", "--grid-points", ""],
+        ["fig1", "--output", "-"],
+        ["fig1", "--output", "--grid-points"],
+        ["fig1", "--grid-points"],
     ]
     return argvs
 
 
 def parse_outcome(capsys, parse, argv):
-    """What a parse gives: its namespace or exit code, then stdout and stderr."""
+    """What a parse gives: its namespace by repr (so a NaN value compares
+    equal and the order of the names counts) or its exit code, then stdout
+    and stderr."""
     try:
-        result = parse(list(argv))
+        result = repr(parse(list(argv)))
     except SystemExit as exc:
         result = ("exit", exc.code)
     captured = capsys.readouterr()
@@ -667,9 +680,95 @@ def parse_outcome(capsys, parse, argv):
 
 
 @pytest.mark.parametrize("argv", oracle_argvs(), ids=" ".join)
-def test_parse_at_the_subcommand_matches_the_full_parser(capsys, argv):
+def test_parse_matches_the_full_parser(capsys, argv):
     want = parse_outcome(capsys, qclone.cli._parser().parse_args, argv)
     assert parse_outcome(capsys, qclone.cli._parse, argv) == want
+
+
+#: every flag of every command.
+ALL_FLAGS = sorted(
+    {"--output", *(f for flags, required in FLAG_SAMPLES.values() for f in [*flags, *required[::2]])}
+)
+#: the values the oracle draws: each sample, each flag name, bad choices,
+#: and values a parse may read as a flag, a negative number or an invalid one.
+ORACLE_VALUES = sorted(
+    {v for flags, required in FLAG_SAMPLES.values() for v in [*flags.values(), *required[1::2]]}
+    | set(ALL_FLAGS)
+    | {"middle", "qcm"}
+    | {"-0.5", "-.5", "-1e-09", "-1x", "nan", "inf", "1_1", "", "a b", "-", "--", "-h"}
+)
+
+
+@st.composite
+def drawn_argvs(draw):
+    """A command (or not), maybe its required flags, then up to four
+    distinct flags with a value each, and at most one change: a pair
+    joined as ``--flag=value``, a pair repeated or a stray token put in.
+    Most flags are the command's own, with its sample value or a drawn
+    one; other flags are abbreviated, another command's, unknown or -h."""
+    command = draw(st.sampled_from([*FLAG_SAMPLES, *FLAG_SAMPLES, "fig9", "-h", "--output"]))
+    flags, required = FLAG_SAMPLES.get(command, ({}, []))
+    samples = {**flags, **dict(zip(required[::2], required[1::2])), "--output": "o"}
+    value = st.sampled_from(ORACLE_VALUES)
+    other = st.sampled_from(
+        [*ALL_FLAGS, *(f[:n] for f in ALL_FLAGS for n in (3, 4)), "--bogus", "-h", "--help"]
+    )
+    own = st.sampled_from(sorted(samples)).flatmap(
+        lambda f: st.tuples(st.just(f), st.one_of(st.just(samples[f]), st.just(samples[f]), value))
+    )
+    pair = st.one_of(own, own, own, st.tuples(other, value))
+    pairs = draw(st.lists(pair, max_size=4, unique_by=lambda p: p[0]))
+    tokens = [*(required if draw(st.booleans()) else []), *(t for p in pairs for t in p)]
+    change = draw(st.sampled_from(["", "", "join", "repeat", "stray"]))
+    if change == "join" and pairs:
+        tokens[-2:] = ["=".join(pairs[-1])]
+    elif change == "repeat" and pairs:
+        tokens += pairs[0]
+    elif change == "stray":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.one_of(other, value)))
+    return [command, *tokens]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=drawn_argvs())
+def test_parse_matches_the_full_parser_on_drawn_argvs(capsys, argv):
+    want = parse_outcome(capsys, qclone.cli._parser().parse_args, argv)
+    assert parse_outcome(capsys, qclone.cli._parse, argv) == want
+
+
+def plain_argvs():
+    """Command lines of ``--flag value`` pairs: each golden case, each
+    command with all its flags and --output, and floats by repr, as the
+    benchmark passes them."""
+    cases = json.loads(pathlib.Path(__file__).with_name("golden.json").read_text())["cases"]
+    argvs = [case.split(" ") for case in cases]
+    for command, (flags, required) in FLAG_SAMPLES.items():
+        argvs.append([command, *required, *(t for p in flags.items() for t in p), "--output", "o"])
+    argvs += [
+        ["fig2", "--alpha", repr(0.1 + 0.2)],
+        ["fig2", "--alpha", repr(-1e-09)],
+        ["mean", "--machine", "acm", "--s1", repr(0.12), "--s2", repr(0.88), "--quad-tol", repr(1e-7)],
+    ]
+    return argvs
+
+
+@pytest.mark.parametrize("argv", plain_argvs(), ids=" ".join)
+def test_plain_argvs_never_reach_argparse(monkeypatch, argv):
+    # parse_args, and any subparser's parse, runs through parse_known_args
+    calls = []
+    known = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return known(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    args = qclone.cli._parse(argv)
+    assert calls == []
+    monkeypatch.undo()
+    assert repr(args) == repr(qclone.cli._parser().parse_args(argv))
 
 
 def test_each_subparser_carries_its_command_function():
