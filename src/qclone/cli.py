@@ -13,13 +13,13 @@ its table, (header, columns), before a byte is written, so numeric and
 usage failures write nothing; main then formats and writes the rows
 BLOCK_ROWS at a time, never held as one string.
 
-Each command is declared once, by its subparser, which carries the
-function that builds its table as the ``table`` default.  A plain command
-line, the command then ``--flag VALUE`` pairs, is read from that
-subparser's flags without running argparse: each value goes through its
-flag's type and choices, and the namespace is the one argparse builds.
-Everything else, and every line argparse would reject, is parsed by the
-full argparse parser, so messages and exit codes are argparse's own.
+Every command and flag is declared once, in the table _COMMANDS: a
+command's help line, the function that builds its table and its flags,
+each with its type or choices and its default or a required mark.  A
+plain command line, the command then ``--flag VALUE`` pairs, is read from
+a spec precomputed from that table into the namespace argparse builds.
+The argparse parser, built from the same table, reads only the other
+lines and those it would reject, so messages, help and exit codes are its own.
 
 --output PATH rewrites the file in place: an existing file keeps its
 inode and its mode, so hard links and symlinks to it see the new CSV; a
@@ -57,7 +57,9 @@ PROG = "qclone"
 
 _SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
 #: largest accepted --grid-points: fig2 and fig4 write n^2 rows, and at
-#: 1001 (a million rows, 31 MB of CSV for fig2) they take 1-2 s.
+#: 1001 (a million rows, 31 MB of CSV for fig2) an in-process run to a
+#: file took 0.5-0.7 s for fig2 and 0.7-0.9 s for fig4 (3 runs each, both
+#: branches, shared 2-vCPU Xeon host).
 GRID_POINTS_MAX = 1001
 #: rows formatted and written at a time.
 BLOCK_ROWS = 4096
@@ -308,125 +310,118 @@ def _cmd_fig5(args) -> tuple:
     return header, columns
 
 
+#: the default of a flag that a command requires.
+_REQUIRED = object()
+# a flag is (option, type or choices, default); each shared one is written once
+_GRID_POINTS = ("--grid-points", int, analysis.GRID_POINTS_DEFAULT)
+_BRANCH = ("--branch", cloners.BRANCHES, "upper")
+_QUAD_TOL = ("--quad-tol", float, analysis.QUAD_DEFAULT_TOL)
+_FIGURE_ALPHA = ("--alpha", float, _SINGLET_ALPHA)
+_MACHINE = ("--machine", cloners.MACHINES, _REQUIRED)
+_S1 = ("--s1", float, None)
+_CLONE_FLAGS = (_MACHINE, ("--alpha", float, _REQUIRED), ("--clones", int, None), _S1)
+#: each command: its help line, the function that builds its table, and
+#: its flags after --output, in -h order.
+_COMMANDS = {
+    "fig1": ("per-alpha clone entanglement, both symmetric machines",
+             _cmd_fig1, (_GRID_POINTS,)),
+    "fig2": ("two-copy average entanglement over the (s1, s2) square",
+             _cmd_fig2, (_FIGURE_ALPHA, _GRID_POINTS)),
+    "fig3": ("two-copy average entanglement along a boundary branch",
+             _cmd_fig3, (_FIGURE_ALPHA, _BRANCH, _GRID_POINTS)),
+    "fig4": ("boundary-branch average entanglement over (alpha, s1)",
+             _cmd_fig4, (_BRANCH, _GRID_POINTS)),
+    "fig5": ("alpha-averaged entanglement along a boundary branch",
+             _cmd_fig5, (_BRANCH, _GRID_POINTS, _QUAD_TOL)),
+    "clone": ("density matrix of a single clone", _cmd_clone, _CLONE_FLAGS),
+    "entangle": ("entanglement report for a single clone", _cmd_entangle, _CLONE_FLAGS),
+    "mean": ("clone entanglement averaged over the input family",
+             _cmd_mean, (_MACHINE, _QUAD_TOL, _S1, ("--s2", float, None))),
+}
+#: Python 3.13's pattern: before it, argparse reads a value such as -1e-09
+#: as a flag and only -N and -N.N as negative numbers.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept: each parse returns a fresh namespace."""
+    """The argparse parser of _COMMANDS, built on first use and kept: each
+    parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Cloning-machine entanglement data series as CSV.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, table):
+    for name, (help_text, table, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        # Python 3.13's pattern: before it, argparse reads a value such as
-        # -1e-09 as a flag and only -N and -N.N as negative numbers
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(table=table)
         p.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
-        return p
-
-    p = add("fig1", "per-alpha clone entanglement, both symmetric machines", _cmd_fig1)
-    p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
-
-    p = add("fig2", "two-copy average entanglement over the (s1, s2) square", _cmd_fig2)
-    p.add_argument("--alpha", type=float, default=_SINGLET_ALPHA)
-    p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
-
-    p = add("fig3", "two-copy average entanglement along a boundary branch", _cmd_fig3)
-    p.add_argument("--alpha", type=float, default=_SINGLET_ALPHA)
-    p.add_argument("--branch", choices=cloners.BRANCHES, default="upper")
-    p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
-
-    p = add("fig4", "boundary-branch average entanglement over (alpha, s1)", _cmd_fig4)
-    p.add_argument("--branch", choices=cloners.BRANCHES, default="upper")
-    p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
-
-    p = add("fig5", "alpha-averaged entanglement along a boundary branch", _cmd_fig5)
-    p.add_argument("--branch", choices=cloners.BRANCHES, default="upper")
-    p.add_argument("--grid-points", type=int, default=analysis.GRID_POINTS_DEFAULT)
-    p.add_argument("--quad-tol", type=float, default=analysis.QUAD_DEFAULT_TOL)
-
-    for name, help_text, table in (
-        ("clone", "density matrix of a single clone", _cmd_clone),
-        ("entangle", "entanglement report for a single clone", _cmd_entangle),
-    ):
-        p = add(name, help_text, table)
-        p.add_argument("--machine", choices=cloners.MACHINES, required=True)
-        p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--clones", type=int, default=None)
-        p.add_argument("--s1", type=float, default=None)
-
-    p = add("mean", "clone entanglement averaged over the input family", _cmd_mean)
-    p.add_argument("--machine", choices=cloners.MACHINES, required=True)
-    p.add_argument("--quad-tol", type=float, default=analysis.QUAD_DEFAULT_TOL)
-    p.add_argument("--s1", type=float, default=None)
-    p.add_argument("--s2", type=float, default=None)
-
+        for option, kind, default in flags:
+            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            given = {"required": True} if default is _REQUIRED else {"default": default}
+            p.add_argument(option, **check, **given)
     return parser
 
 
-def _subparser(command: str) -> argparse.ArgumentParser | None:
-    """The parser of ``command``, None when no command has that name."""
-    # argparse has no public accessor for the subparsers action; it is the
-    # one action of the positional group
-    (commands,) = _parser()._subparsers._group_actions
-    return commands.choices.get(command)
+def _plain_spec(table, flags) -> tuple:
+    """What _parse_plain reads of a command: the namespace a parse starts
+    from, with argparse's names in argparse's order; each option's dest,
+    type and choices; the required options."""
+    start, options = {"command": None}, {}
+    for option, kind, default in (("--output", str, None), *flags):
+        dest = option[2:].replace("-", "_")
+        start[dest] = None if default is _REQUIRED else default
+        options[option] = (dest, str, kind) if isinstance(kind, tuple) else (dest, kind, None)
+    start["table"] = table
+    return start, options, frozenset(option for option, _, d in flags if d is _REQUIRED)
+
+
+_PLAIN_SPECS = {name: _plain_spec(table, flags) for name, (_, table, flags) in _COMMANDS.items()}
 
 
 def _config(args: argparse.Namespace) -> list[tuple[str, object]]:
     """The ``# key: value`` pairs of a parsed command: each flag but
-    --output whose value is not None, in the order its parser declares
-    them."""
-    values = vars(args)
-    return [
-        (action.dest, values[action.dest])
-        for action in _subparser(args.command)._actions
-        if action.dest != "output" and values.get(action.dest) is not None
-    ]
+    --output whose value is not None, in the order the command declares
+    them, which is the namespace's."""
+    items = vars(args).items()
+    return [(k, v) for k, v in items if v is not None and k not in ("command", "output", "table")]
 
 
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     """The namespace of a plain argv (see _parse), None for any other."""
-    sub = _subparser(argv[0]) if len(argv) % 2 else None
-    if sub is None:
+    spec = _PLAIN_SPECS.get(argv[0]) if len(argv) % 2 else None
+    if spec is None:
         return None
-    # what parse_args builds: the command, each flag's default and the
-    # subparser's own, then the values given (argparse would also pass a
-    # string default through its flag's type; no flag has both)
-    args = argparse.Namespace(command=argv[0])
-    for action in sub._actions:
-        if action.default is not argparse.SUPPRESS:
-            setattr(args, action.dest, action.default)
-    vars(args).update(sub._defaults)
-    given = set()
-    for flag, value in zip(argv[1::2], argv[2::2]):
-        action = sub._option_string_actions.get(flag)
-        if action is None or action.nargs is not None or action in given:
+    start, options, required = spec
+    values = dict(start, command=argv[0])
+    for option, text in zip(argv[1::2], argv[2::2]):
+        if option not in options or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
             return None
-        if value.startswith("-") and not sub._negative_number_matcher.match(value):
-            return None
+        dest, kind, choices = options[option]
         try:
-            value = sub._get_value(action, value)
-            sub._check_value(action, value)
-        except argparse.ArgumentError:
+            value = kind(text)
+        except ValueError:
             return None
-        action(sub, args, value, flag)
-        given.add(action)
-    if any(action.required and action not in given for action in sub._actions):
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required.issubset(argv[1::2]):
         return None
+    args = argparse.Namespace()
+    vars(args).update(values)
     return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``_parser().parse_args(argv)``, without argparse for a plain argv:
-    a command, then ``--flag VALUE`` pairs, each flag an exact option
-    string of the command that takes one argument and appears once, each
-    VALUE not starting with ``-`` or looking like a negative number, so
-    argparse reads it as an argument.  Each VALUE goes through its flag's
-    type and choices.  Any other argv, or a plain one with a value argparse
-    rejects or a required flag missing, goes to the full parser, so its
-    messages and exit codes are argparse's."""
+    a command, then ``--flag VALUE`` pairs, each flag one of the command's
+    and each VALUE not starting with ``-`` or looking like a negative
+    number, so argparse reads it as an argument.  Each VALUE goes through
+    its flag's type and choices; a repeated flag keeps its last value.  Any
+    other argv, or a plain one with a value argparse rejects or a required
+    flag missing, goes to the full parser, so its messages and exit codes
+    are argparse's."""
     args = _parse_plain(argv)
     return _parser().parse_args(argv) if args is None else args
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -159,8 +160,9 @@ def test_non_finite_tolerance_exits_two(capsys, command, tol):
 
 
 def test_back_to_back_calls_leave_no_state(capsys, tmp_path):
-    # the parser is built once per process; every call must start from
-    # the defaults, not from the flags of the call before it
+    # each command's plain-route spec and the argparse parser are built
+    # once per process; every call must start from the defaults, not from
+    # the flags of the call before it
     rc, _, _ = run_cli(
         capsys, ["entangle", "--machine", "acm", "--alpha", "0.6", "--s1", "0.8"]
     )
@@ -776,6 +778,119 @@ def test_each_subparser_carries_its_command_function():
     assert sorted(commands.choices) == sorted(FLAG_SAMPLES)
     for name, sub in commands.choices.items():
         assert sub.get_default("table") is getattr(qclone.cli, f"_cmd_{name}")
+
+
+#: the mark of a flag that a command requires, in place of its default.
+REQUIRED = "required"
+CLONE_FLAGS = [
+    ("--machine", ("wzcm", "scm", "acm"), REQUIRED),
+    ("--alpha", float, REQUIRED),
+    ("--clones", int, None),
+    ("--s1", float, None),
+]
+#: each command's flags after --output, in -h order: option, type or
+#: choices, and default, written out here rather than read from qclone.cli.
+DECLARED = {
+    "fig1": [("--grid-points", int, 201)],
+    "fig2": [("--alpha", float, 1 / math.sqrt(2)), ("--grid-points", int, 201)],
+    "fig3": [
+        ("--alpha", float, 1 / math.sqrt(2)),
+        ("--branch", ("upper", "lower"), "upper"),
+        ("--grid-points", int, 201),
+    ],
+    "fig4": [("--branch", ("upper", "lower"), "upper"), ("--grid-points", int, 201)],
+    "fig5": [
+        ("--branch", ("upper", "lower"), "upper"),
+        ("--grid-points", int, 201),
+        ("--quad-tol", float, 1e-7),
+    ],
+    "clone": CLONE_FLAGS,
+    "entangle": CLONE_FLAGS,
+    "mean": [
+        ("--machine", ("wzcm", "scm", "acm"), REQUIRED),
+        ("--quad-tol", float, 1e-7),
+        ("--s1", float, None),
+        ("--s2", float, None),
+    ],
+}
+
+
+def dest(option):
+    return option[2:].replace("-", "_")
+
+
+@pytest.mark.parametrize("command", list(DECLARED))
+def test_each_command_declares_the_pinned_flags(capsys, command):
+    required = FLAG_SAMPLES[command][1]
+    given = dict(zip(required[::2], required[1::2]))
+    assert sorted(given) == sorted(o for o, _, d in DECLARED[command] if d is REQUIRED)
+    # the namespace argparse builds: names, order, defaults, types, table
+    want = [("command", command), ("output", None)]
+    for option, kind, default in DECLARED[command]:
+        if default is REQUIRED:
+            default = given[option] if isinstance(kind, tuple) else kind(given[option])
+        want.append((dest(option), default))
+    want.append(("table", getattr(qclone.cli, f"_cmd_{command}")))
+    got = list(vars(qclone.cli._parser().parse_args([command, *required])).items())
+    assert got == want
+    assert [type(value) for _, value in got] == [type(value) for _, value in want]
+    # a value off a flag's type or choices is rejected; 1.5 passes only a float
+    for option, kind, _ in DECLARED[command]:
+        argv = [command, *required, option, "1.5"]
+        if kind is float:
+            assert getattr(qclone.cli._parse(argv), dest(option)) == 1.5
+        else:
+            assert parse_outcome(capsys, qclone.cli._parse, argv)[0] == ("exit", 2)
+    # leaving out any required flag exits 2 naming it
+    for i in range(0, len(required), 2):
+        argv = [command, *required[:i], *required[i + 2 :]]
+        result, out, err = parse_outcome(capsys, main, argv)
+        assert result == ("exit", 2) and out == ""
+        assert f"the following arguments are required: {required[i]}" in err
+    # -h lists the options in the declared order, choice flags with their choices
+    result, out, _ = parse_outcome(capsys, main, [command, "-h"])
+    assert result == ("exit", 0)
+    options = re.findall(r"^  (-[-\w]+)", out, re.M)
+    assert options == ["-h", "--output", *(o for o, _, _ in DECLARED[command])]
+    for option, kind, _ in DECLARED[command]:
+        if isinstance(kind, tuple):
+            assert f"  {option} {{{','.join(kind)}}}" in out
+
+
+def test_plain_command_lines_never_build_the_parser(capsys, tmp_path):
+    qclone.cli._parser.cache_clear()
+    for argv in plain_argvs():
+        if "--output" in argv:
+            i = argv.index("--output")
+            argv = argv[:i] + argv[i + 2 :]
+        rc, _, _ = run_cli(capsys, [*argv, "--output", str(tmp_path / "out.csv")])
+        assert rc in (0, 2), argv
+        assert qclone.cli._parser.cache_info().currsize == 0, argv
+    # help and a rejected command line do build it
+    for argv in (["mean", "-h"], ["fig1", "--bogus"]):
+        qclone.cli._parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert qclone.cli._parser.cache_info().currsize == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(FLAG_SAMPLES))
+def test_echo_follows_the_declared_order_whatever_the_flag_order(capsys, command):
+    flags, required = FLAG_SAMPLES[command]
+    pairs = [*zip(required[::2], required[1::2]), *flags.items()]
+    machine = dict(pairs).get("--machine")
+    # every sample flag that applies: --clones is scm's and --s1 acm's
+    pairs = [(f, v) for f, v in pairs if {"--clones": "scm", "--s1": "acm"}.get(f, machine) == machine]
+    forward = [command, *(t for pair in pairs for t in pair)]
+    backward = [command, *(t for pair in pairs[::-1] for t in pair)]
+    rc, out, err = run_cli(capsys, forward)
+    assert rc == 0 and err == ""
+    assert run_cli(capsys, backward) == (0, out, "")
+    keys = [line[2:].partition(":")[0] for line in out.splitlines() if line.startswith("# ")]
+    given = dict(pairs)
+    echoed = [dest(o) for o, _, d in DECLARED[command] if o in given or d is not None]
+    assert keys == ["command", *echoed]
 
 
 class FailingWriter(io.StringIO):
