@@ -11,7 +11,8 @@ written as the 2 it stands for.  Fields are comma-separated, floats carry
 are Unix.  Identical flags produce identical bytes.  Every command returns
 its table, (header, columns), before a byte is written, so numeric and
 usage failures write nothing; main then formats and writes the rows
-BLOCK_ROWS at a time, never held as one string.
+BLOCK_ROWS at a time, never held as one string.  The comment and header
+lines go out with the first block.
 
 Every command and flag is declared once, in the table _COMMANDS: a
 command's help line, the function that builds its table and its flags,
@@ -21,13 +22,16 @@ a spec precomputed from that table into the namespace argparse builds.
 The argparse parser, built from the same table, reads only the other
 lines and those it would reject, so messages, help and exit codes are its own.
 
---output PATH rewrites the file in place: an existing file keeps its
-inode and its mode, so hard links and symlinks to it see the new CSV; a
-new one gets 0o666 less the umask.  The CSV is written over the old bytes from the
-start and the file is then cut to the new length, so a failed write
-leaves a prefix of the new CSV, never new bytes followed by old ones.
-The rewrite is not atomic and nothing is fsynced; to replace a file
-atomically, write to a new path and rename it over the old one.
+The CSV goes to sys.stdout, a text stream that callers may replace, or
+with --output PATH to the file as ASCII bytes: one os.write per block on
+its descriptor (more only after a short write), with no stream or buffer
+in between.  --output rewrites the file in place: an existing file keeps
+its inode and its mode, so hard links and symlinks to it see the new CSV;
+a new one gets 0o666 less the umask.  The CSV is written over the old
+bytes from the start and the file is then cut to the new length, so a
+failed write leaves a prefix of the new CSV, never new bytes followed by
+old ones.  The rewrite is not atomic and nothing is fsynced; to replace a
+file atomically, write to a new path and rename it over the old one.
 
 Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
 concurrence SVD fails to converge (the diagnostic names the failing
@@ -39,7 +43,6 @@ leave part of the CSV written), 2 on flag validation errors and on an
 from __future__ import annotations
 
 import argparse
-import contextlib
 import decimal
 import functools
 import math
@@ -47,7 +50,7 @@ import os
 import re
 import stat
 import sys
-from typing import Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
 
@@ -75,8 +78,9 @@ def _texts(values: np.ndarray) -> list[str]:
 
 
 def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
-    """The CSV of a table of columns: comment and header lines, then
-    blocks of up to BLOCK_ROWS rows, each formatted by one % over a row
+    """The CSV of a table of columns in blocks of up to BLOCK_ROWS rows,
+    the comment and header lines in front of the first block (alone for
+    a table of no rows).  Each block is formatted by one % over a row
     template: %.9g for float columns, %d for int columns, true/false for
     bool columns.  A column is a numpy array, or a pair (values, index)
     standing for values[index]: each value is formatted once and each row
@@ -89,7 +93,7 @@ def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
     for key, value in config:
         lines.append(f"# {key}: {value!r}" if isinstance(value, float) else f"# {key}: {value}")
     lines.append(",".join(header))
-    yield "\n".join(lines) + "\n"
+    head = "\n".join(lines) + "\n"
     # bool and (values, index) columns become (table of texts, index)
     coded = [
         (np.array(_texts(c[0]) + ["outside_region"], dtype=object), c[1])
@@ -111,7 +115,10 @@ def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
             else:
                 table, index = code
                 cells[j::k] = table[index[lo : lo + m]].tolist()
-        yield row * m % tuple(cells)
+        yield head + row * m % tuple(cells)
+        head = ""
+    if not n:
+        yield head
 
 
 class _UsageError(Exception):
@@ -119,37 +126,48 @@ class _UsageError(Exception):
 
 
 def _open_output(path: str | None):
-    """stdout, or the file at ``path`` opened for rewriting in place; an
-    unopenable path is a usage error."""
+    """sys.stdout, or a _FileSink of the file at ``path``, opened for
+    writing without O_TRUNC; an unopenable path is a usage error."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        return sys.stdout
     try:
         # no O_TRUNC: truncating a file that holds data to length 0 makes
-        # ext4 start writeback at close; the stale tail is cut on exit
+        # ext4 start writeback at close; the stale tail is cut on close
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise _UsageError(f"--output: {exc.strerror}: {path!r}") from exc
-    return _rewrite(fd)
+    return _FileSink(fd)
 
 
-@contextlib.contextmanager
-def _rewrite(fd: int) -> Iterator[TextIO]:
-    """A text stream writing over ``fd`` from its start.  On exit, written
-    or not, a regular file is cut at the last byte that reached it, so it
-    never holds new bytes followed by old ones; other files (devices,
-    FIFOs) cannot be truncated and are left as they are."""
-    try:
-        with open(fd, "w", encoding="ascii", newline="\n", closefd=False) as fh:
-            yield fh
-    finally:
+class _FileSink:
+    """Text written as ASCII bytes over the descriptor ``fd`` from its
+    start: one os.write per write, then more only for what a short write
+    left.  ``end`` counts the bytes os.write reports written."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.end = 0
+
+    def write(self, text: str) -> None:
+        data = text.encode("ascii")
+        while data:
+            n = os.write(self.fd, data)
+            self.end += n
+            data = data[n:]
+
+    def flush(self) -> None:
+        """Nothing is buffered, and nothing is fsynced."""
+
+    def close(self) -> None:
+        """Cut a regular file at ``end``, written or not, so it never holds
+        new bytes followed by old ones; other files (devices, FIFOs) cannot
+        be truncated and are left as they are.  Then close ``fd``."""
         try:
-            info = os.fstat(fd)
-            if stat.S_ISREG(info.st_mode):
-                end = os.lseek(fd, 0, os.SEEK_CUR)
-                if info.st_size > end:
-                    os.ftruncate(fd, end)
+            info = os.fstat(self.fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > self.end:
+                os.ftruncate(self.fd, self.end)
         finally:
-            os.close(fd)
+            os.close(self.fd)
 
 
 def _library_check(flag: str, check, *args):
@@ -443,9 +461,13 @@ def main(argv=None) -> int:
         return 1
     chunks = _render(args.command, _config(args), *table)
     try:
-        with output as fh:
-            fh.writelines(chunks)
-            fh.flush()
+        try:
+            for chunk in chunks:
+                output.write(chunk)
+            output.flush()
+        finally:
+            if output is not sys.stdout:
+                output.close()
     except OSError as exc:
         target = "stdout" if args.output is None else repr(args.output)
         print(f"{PROG}: write failure: {exc.strerror or exc}: {target}", file=sys.stderr)

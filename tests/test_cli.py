@@ -453,7 +453,8 @@ def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, 
     i = np.arange(rows)
     columns = [i, (values, index), i % 2 == 0]
     chunks = list(qclone.cli._render("t", [], ["i", "v", "b"], columns))
-    assert len(chunks) == 1 + 3
+    # the comment and header lines ride with the first of the 3 blocks
+    assert len(chunks) == 3
     held = iter(values.tolist())
     want = "# command: t\ni,v,b\n" + "".join(
         "%d,%s,%s\n"
@@ -564,6 +565,74 @@ def test_failed_rewrite_leaves_a_prefix_of_the_new_csv(capsys, tmp_path, monkeyp
     data = path.read_bytes()
     assert data and b"Z" not in data
     assert full.encode("ascii").startswith(data)
+
+
+def route_writes_to_opened(monkeypatch, write):
+    """Patch os.open to record each descriptor it returns, and os.write to
+    call ``write(real_write, fd, data)`` for those; returns their list."""
+    opened = []
+    real_open, real_write = os.open, os.write
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    def routed(fd, data):
+        return write(real_write, fd, data) if fd in opened else real_write(fd, data)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "write", routed)
+    return opened
+
+
+@pytest.mark.parametrize(
+    "argv, block_rows, writes",
+    [
+        (["mean", "--machine", "scm"], None, 1),
+        (["fig1", "--grid-points", "11"], None, 1),
+        # 1681 rows in blocks of 100
+        (["fig2", "--grid-points", "41"], 100, 17),
+    ],
+    ids=["mean", "fig1", "fig2"],
+)
+def test_file_output_takes_one_write_per_block(
+    capsys, monkeypatch, tmp_path, argv, block_rows, writes
+):
+    # the comment and header lines ride with the first block; a short
+    # write is followed by writes of the rest, and the file is cut at the
+    # bytes os.write reported
+    if block_rows is not None:
+        monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", block_rows)
+    rc, want, _ = run_cli(capsys, argv)
+    assert rc == 0
+    want = want.encode("ascii")
+    sizes = []
+    limit = None
+
+    def spy(real_write, fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data if limit is None else data[:limit])
+
+    opened = route_writes_to_opened(monkeypatch, spy)
+    path = tmp_path / "out.csv"
+    assert run_cli(capsys, [*argv, "--output", str(path)]) == (0, "", "")
+    assert len(sizes) == writes and sum(sizes) == len(want)
+    assert path.read_bytes() == want
+    # at most 7 bytes a call, over a longer file
+    limit = 7
+    path.write_bytes(b"Z" * (len(want) + 100))
+    opened.clear()
+    sizes.clear()
+    assert run_cli(capsys, [*argv, "--output", str(path)]) == (0, "", "")
+    assert sum(min(size, limit) for size in sizes) == len(want)
+    assert path.read_bytes() == want
+
+
+def test_a_table_of_no_rows_renders_its_comment_and_header_lines():
+    empty = np.zeros(0)
+    columns = [empty, (empty, np.zeros(0, dtype=int)), empty > 0]
+    chunks = list(qclone.cli._render("t", [("k", 0.5)], ["a", "b", "c"], columns))
+    assert chunks == ["# command: t\n# k: 0.5\na,b,c\n"]
 
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory"])
@@ -913,17 +982,15 @@ def test_write_failures_exit_one(capsys, monkeypatch, tmp_path, code, target):
         monkeypatch.setattr(sys, "stdout", writer)
         name = "stdout"
     else:
-        # an existing file: the stream over the opened descriptor fails,
-        # and the rewrite still cuts the file and closes the descriptor
+        # an existing file: os.write fails on the descriptor qclone
+        # opened, and the rewrite still cuts the file and closes it
         path = tmp_path / "out.csv"
         path.write_bytes(b"Z" * 1000)
-        fds = []
 
-        def failing_stream(fd, *args, **kwargs):
-            fds.append(fd)
-            return writer
+        def failing_write(real_write, fd, data):
+            raise writer.exc
 
-        monkeypatch.setattr(qclone.cli, "open", failing_stream, raising=False)
+        fds = route_writes_to_opened(monkeypatch, failing_write)
         argv += ["--output", str(path)]
         name = repr(str(path))
     if code == errno.EPIPE:

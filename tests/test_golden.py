@@ -81,6 +81,16 @@ def test_golden_digest(key, tmp_path):
     pytest.fail(f"{key}: sha256 {got} != golden {want['sha256']}{detail}")
 
 
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_digest_over_a_longer_file(key, tmp_path):
+    # --output rewrites in place: the CSV over a longer file leaves no old byte
+    want = GOLDEN[key]
+    (tmp_path / "out.csv").write_bytes(b"Z" * (want["bytes"] + 4096))
+    data = render(key.split(" "), tmp_path)
+    assert b"Z" not in data
+    assert hashlib.sha256(data).hexdigest() == want["sha256"]
+
+
 def test_manifest_lists_every_case():
     assert sorted(GOLDEN) == sorted(" ".join(argv) for argv in golden_argvs())
 
