@@ -319,11 +319,12 @@ def _cmd_fig5(args) -> tuple:
     _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
     s2 = _boundary(s1, args.branch)
     analysis._require_region(s1, s2)
-    means = analysis.family_mean(np.array((s1, s2)), args.quad_tol).value
-    mean_wz = analysis.mean_entanglement("wzcm", args.quad_tol).value
-    mean_sc = analysis.mean_entanglement("scm", args.quad_tol).value
-    value, degenerate = 0.5 * (means[0] + means[1]), cloners.acm_degenerate(s1, s2)
-    columns = [s1, s2, value, np.full(s1.size, mean_wz), np.full(s1.size, mean_sc), degenerate]
+    # one quadrature pass: both copies of every pair, then the wzcm and scm shrinks
+    references = (cloners.family_shrink("wzcm"), cloners.family_shrink("scm"))
+    means = analysis.family_mean(np.concatenate((s1, s2, references)), args.quad_tol).value
+    n = s1.size
+    value, degenerate = 0.5 * (means[:n] + means[n : 2 * n]), cloners.acm_degenerate(s1, s2)
+    columns = [s1, s2, value, np.full(n, means[-2]), np.full(n, means[-1]), degenerate]
     header = ["s1", "s2", "mean_eof_acm", "mean_eof_wzcm", "mean_eof_scm", "degenerate"]
     return header, columns
 

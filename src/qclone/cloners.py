@@ -45,6 +45,12 @@ _WZCM_ISOMETRY = np.stack(
 )
 
 
+def _in_unit_interval(x: np.ndarray) -> bool:
+    """Whether every entry of the float array ``x`` (0-d included) lies in
+    [0, 1], by two reductions: a NaN fails, an empty array passes."""
+    return not x.size or bool(x.min() >= 0.0 and x.max() <= 1.0)
+
+
 class ConstraintViolatedError(ValueError):
     """Raised when a shrink-factor pair falls outside the allowed region."""
 
@@ -148,7 +154,7 @@ def acm_boundary_s2(s1, branch: str = "upper"):
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     s = np.asarray(s1, dtype=float)
-    if not ((s >= 0.0) & (s <= 1.0)).all():
+    if not _in_unit_interval(s):
         raise ValueError(f"s1 must lie in [0, 1], got {s1!r}")
     disc = 1.0 + 14.0 * s - 15.0 * s * s
     root = np.sqrt(np.maximum(disc, 0.0))

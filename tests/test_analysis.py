@@ -5,6 +5,7 @@ evaluated on the same integrands and against mpmath.quad at 30 digits.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -486,6 +487,54 @@ def test_family_mean_gives_up_above_its_tolerance(monkeypatch):
     monkeypatch.setattr(qclone.analysis, "GL_ORDER", 2)
     with pytest.raises(QuadratureConvergenceError, match="s = 1.0"):
         family_mean(1.0, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "shrinks",
+    [[math.nan], [0.2, math.nan, 0.9], [[0.5, 1.0], [math.nan, 0.0]], [math.nan, math.nan]],
+)
+def test_range_checks_reject_nan_without_a_warning(shrinks):
+    column = np.array(shrinks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^shrink factors must lie in \[0, 1\]$"):
+            family_mean(column)
+        with pytest.raises(ValueError, match=r"^alpha and s must lie in \[0, 1\]$"):
+            family_eof(0.5, column)
+        with pytest.raises(ValueError, match=r"^s1 must lie in \[0, 1\], got "):
+            acm_boundary_s2(column, "lower")
+
+
+def test_family_mean_of_no_shrinks():
+    res = family_mean(np.array([]))
+    assert res.value.shape == res.abs_error_estimate.shape == (0,)
+    assert res.evaluations == 0
+    assert family_eof(np.array([]), 0.5).shape == (0,)
+    assert acm_boundary_s2(np.array([]), "upper").shape == (0,)
+
+
+def test_family_mean_gives_up_on_a_nan_integrand(monkeypatch):
+    # NaN fails the tolerance test, as it fails the range check; the first
+    # shrink with a NaN estimate is named
+    monkeypatch.setattr(qclone.analysis, "_wootters_eof", lambda c: np.full(c.shape, math.nan))
+    with pytest.raises(QuadratureConvergenceError, match=r"s = 0\.2: estimate nan above tol"):
+        family_mean(np.array([0.2, 0.5, 0.9]))
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+@pytest.mark.parametrize("points", [3, 201, 1001])
+def test_fig5_means_equal_one_family_mean_call_per_shrink(branch, points):
+    # fig5 sums the copies' means and takes the reference means from batched
+    # calls; each value must keep the bits of a call on its shrink alone
+    argv = ["fig5", "--branch", branch, "--grid-points", str(points)]
+    _, (s1s, s2s, acm, wz, sc, _), _ = figure_table(argv)
+
+    def single(s):
+        return float(family_mean(s).value)
+
+    assert acm.tolist() == [0.5 * (single(a) + single(b)) for a, b in zip(s1s, s2s)]
+    assert wz.tolist() == [single(family_shrink("wzcm"))] * points
+    assert sc.tolist() == [single(family_shrink("scm"))] * points
 
 
 def test_mean_sweep_checks_the_region_over_the_whole_grid(monkeypatch):

@@ -35,6 +35,8 @@ def golden_argvs() -> list[list[str]]:
             ["fig3", "--branch", branch],
             ["fig4", "--branch", branch],
             ["fig5", "--branch", branch],
+            # fig5's one quadrature pass at the largest grid
+            ["fig5", "--branch", branch, "--grid-points", "1001"],
         ]
     for n in ("11", "41"):
         for alpha in ("0.6", "0.9"):

@@ -4,7 +4,8 @@
 object of the same name in its submodule, and the README's quick start runs
 as written.  The benchmark's traced mode (``perfbench/spans.py`` and
 ``perfbench/child.py``) wraps public functions by module and name, binds the
-parameters of the two alpha-mean functions by name and reads
+parameters of the two alpha-mean functions that ``mean`` calls by name
+(``fig5`` makes one ``family_mean`` call instead) and reads
 ``EntanglementReport.method``; its generic workload also calls
 ``wzcm_full_output`` and ``partial_trace``, whose trace must be the wzcm
 ``clone``.  The last tests pin those, so a rename fails here instead of
@@ -20,6 +21,7 @@ import numpy as np
 import qclone
 import qclone.analysis
 import qclone.cli
+import qclone.cloners
 import qclone.entanglement
 import qclone.qmath
 import qclone.states
@@ -70,7 +72,7 @@ def test_benchmark_hooked_functions():
 
 def test_benchmark_binds_the_mean_parameters(monkeypatch, tmp_path):
     # the traced mode binds machine or params, and tol, by name, and reads
-    # value and evaluations off the result of each call the CLI makes
+    # value and evaluations off the result of each call `mean` makes
     seen = []
     for name, params in (
         ("mean_entanglement", ["machine", "tol"]),
@@ -93,15 +95,28 @@ def test_benchmark_binds_the_mean_parameters(monkeypatch, tmp_path):
     for argv in (
         ["mean", "--machine", "scm"],
         ["mean", "--machine", "acm", "--s1", "0.7", "--s2", "0.48"],
-        ["fig5", "--grid-points", "3"],
     ):
         assert qclone.cli.main(argv + output) == 0
     assert [(name, sorted(args)) for name, args, _, _ in seen] == [
         ("mean_entanglement", ["machine", "tol"]),
         ("mean_entanglement_acm", ["params", "tol"]),
-        ("mean_entanglement", ["machine", "tol"]),
-        ("mean_entanglement", ["machine", "tol"]),
     ]
+    assert (seen[0][1]["machine"], seen[0][1]["tol"]) == ("scm", 1e-7)
     acm_args = seen[1][1]
     assert (acm_args["params"].s1, acm_args["params"].s2, acm_args["tol"]) == (0.7, 0.48, 1e-7)
     assert all(isinstance(value, float) and evaluations > 0 for _, _, value, evaluations in seen)
+    # fig5 makes one family_mean call: s1, the clipped boundary s2, then the
+    # wzcm and scm shrinks of its reference columns
+    shrinks = []
+    family_mean = qclone.analysis.family_mean
+
+    def family_spy(s, *args, **kwargs):
+        shrinks.append(np.array(s, dtype=float))
+        return family_mean(s, *args, **kwargs)
+
+    monkeypatch.setattr(qclone.analysis, "family_mean", family_spy)
+    assert qclone.cli.main(["fig5", "--grid-points", "3"] + output) == 0
+    assert len(seen) == 2
+    s1 = np.linspace(0.0, 1.0, 3)
+    s2 = np.clip(qclone.cloners.acm_boundary_s2(s1, "upper"), 0.0, 1.0)
+    assert [s.tolist() for s in shrinks] == [[*s1.tolist(), *s2.tolist(), 1.0, 0.6]]
