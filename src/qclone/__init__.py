@@ -30,9 +30,7 @@ from .cloners import (
 )
 from .entanglement import (
     EntanglementReport,
-    NotXStateError,
     concurrence,
-    concurrence_xstate,
     eof_from_concurrence,
     fidelity,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "NotHermitianError",
     "NotNormalizedError",
     "NotPSDError",
-    "NotXStateError",
     "QuadratureConvergenceError",
     "ShrinkParams",
     "acm_boundary_s2",
@@ -62,7 +59,6 @@ __all__ = [
     "acm_region_value",
     "clone",
     "concurrence",
-    "concurrence_xstate",
     "eof_from_concurrence",
     "family_eof",
     "family_mean",

@@ -4,7 +4,7 @@ Output format, shared by every command: `# key: value` comment lines
 recording the exact configuration, one header row naming the columns,
 then data rows.  The comment lines are `# command: NAME`, then one line
 per flag other than --output whose value is not None, keyed by its
-argparse name (`--grid-points` is `grid_points`), in the order the
+flag name (`--grid-points` is `grid_points`), in the order the
 command declares its flags, floats by repr; an unset scm --clones is
 written as the 2 it stands for.  Fields are comma-separated, floats carry
 9 significant digits (mean's error estimate 2, rounded up), line endings
@@ -14,13 +14,8 @@ usage failures write nothing; main then formats and writes the rows
 BLOCK_ROWS at a time, never held as one string.  The comment and header
 lines go out with the first block.
 
-Every command and flag is declared once, in the table _COMMANDS: a
-command's help line, the function that builds its table and its flags,
-each with its type or choices and its default or a required mark.  A
-plain command line, the command then ``--flag VALUE`` pairs, is read from
-a spec precomputed from that table into the namespace argparse builds.
-The argparse parser, built from the same table, reads only the other
-lines and those it would reject, so messages, help and exit codes are its own.
+Every command and flag is declared once, in the table _COMMANDS, and
+_parse reads every command line, and -h lists every flag, from it.
 
 The CSV goes to sys.stdout, a text stream that callers may replace, or
 with --output PATH to the file as ASCII bytes: one os.write per block on
@@ -34,23 +29,23 @@ old ones.  The rewrite is not atomic and nothing is fsynced; to replace a
 file atomically, write to a new path and rename it over the old one.
 
 Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
-concurrence SVD fails to converge (the diagnostic names the failing
-computation) and when writing the CSV fails (it names the output, and may
-leave part of the CSV written), 2 on flag validation errors and on an
---output path that cannot be opened.
+concurrence SVD fails to converge (the diagnostic names it) and when
+writing the CSV fails (it names the output, and may leave part of the CSV
+written), 2 on a usage error: a command line _parse rejects, a flag out
+of range, an unopenable --output path.  Each prints one line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import decimal
-import functools
+import errno
 import math
 import os
 import re
 import stat
 import sys
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -232,16 +227,7 @@ def _cmd_entangle(args) -> tuple:
     state, rho = _clone_matrix(args)
     report = entanglement.concurrence(rho)
     fid = entanglement.fidelity(state, rho)
-    header = [
-        "alpha",
-        "concurrence",
-        "eof",
-        "lambda1",
-        "lambda2",
-        "lambda3",
-        "lambda4",
-        "fidelity",
-    ]
+    header = ["alpha", "concurrence", "eof", "lambda1", "lambda2", "lambda3", "lambda4", "fidelity"]
     row = (args.alpha, report.concurrence, report.eof) + report.lambdas + (fid,)
     return header, [np.array([x]) for x in row]
 
@@ -357,92 +343,106 @@ _COMMANDS = {
     "mean": ("clone entanglement averaged over the input family",
              _cmd_mean, (_MACHINE, _QUAD_TOL, _S1, ("--s2", float, None))),
 }
-#: Python 3.13's pattern: before it, argparse reads a value such as -1e-09
-#: as a flag and only -N and -N.N as negative numbers.
+#: a token starting with '-' is a flag's value only as '-' or a negative
+#: number, which is a match of Python 3.13 argparse's pattern.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The argparse parser of _COMMANDS, built on first use and kept: each
-    parse returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="Cloning-machine entanglement data series as CSV.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, table, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.set_defaults(table=table)
-        p.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
-        for option, kind, default in flags:
-            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            given = {"required": True} if default is _REQUIRED else {"default": default}
-            p.add_argument(option, **check, **given)
-    return parser
-
-
-def _plain_spec(table, flags) -> tuple:
-    """What _parse_plain reads of a command: the namespace a parse starts
-    from, with argparse's names in argparse's order; each option's dest,
-    type and choices; the required options."""
-    start, options = {"command": None}, {}
+def _spec(command: str, table, flags) -> tuple:
+    """A command's start namespace in the declared order, each option's dest,
+    type and choices (None for -h and --help), and its required options."""
+    start, options = {"command": command}, {"-h": None, "--help": None}
     for option, kind, default in (("--output", str, None), *flags):
         dest = option[2:].replace("-", "_")
         start[dest] = None if default is _REQUIRED else default
         options[option] = (dest, str, kind) if isinstance(kind, tuple) else (dest, kind, None)
-    start["table"] = table
-    return start, options, frozenset(option for option, _, d in flags if d is _REQUIRED)
+    return {**start, "table": table}, options, [option for option, _, d in flags if d is _REQUIRED]
 
 
-_PLAIN_SPECS = {name: _plain_spec(table, flags) for name, (_, table, flags) in _COMMANDS.items()}
+_COMMAND_SPECS = {name: _spec(name, table, flags) for name, (_, table, flags) in _COMMANDS.items()}
 
 
-def _config(args: argparse.Namespace) -> list[tuple[str, object]]:
-    """The ``# key: value`` pairs of a parsed command: each flag but
-    --output whose value is not None, in the order the command declares
-    them, which is the namespace's."""
+def _usage(message: str, choices=()) -> NoReturn:
+    """Print a usage error, with the ``choices`` a value may take, and exit 2."""
+    tail = f" (choose from {', '.join(choices)})" if choices else ""
+    print(f"{PROG}: error: {message}{tail}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(command: str | None, text: str | None) -> NoReturn:
+    """Print each command with its help line, or ``command``'s flags in the
+    declared order, and exit 0; -h takes no value."""
+    if text is not None:
+        _usage(f"argument -h/--help: ignored explicit argument {text!r}")
+    rows = {"-h, --help": "show this help and exit"}
+    if command is None:
+        rows.update((name, entry[0]) for name, entry in _COMMANDS.items())
+    else:
+        rows["--output PATH"] = "write CSV here instead of stdout"
+        for option, kind, default in _COMMANDS[command][2]:
+            metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else kind.__name__.upper()
+            rows[f"{option} {metavar}"] = "required" if default is _REQUIRED else ""
+    width = max(map(len, rows)) + 2
+    print(f"usage: {PROG} {command or 'COMMAND'} [--flag VALUE ...]\n",
+          *(f"  {left:{width}}{right}".rstrip() for left, right in rows.items()), sep="\n")
+    raise SystemExit(0)
+
+
+def _config(args: SimpleNamespace) -> list[tuple[str, object]]:
+    """The ``# key: value`` pairs: each flag but --output not None, in the declared order."""
     items = vars(args).items()
     return [(k, v) for k, v in items if v is not None and k not in ("command", "output", "table")]
 
 
-def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace of a plain argv (see _parse), None for any other."""
-    spec = _PLAIN_SPECS.get(argv[0]) if len(argv) % 2 else None
-    if spec is None:
-        return None
-    start, options, required = spec
-    values = dict(start, command=argv[0])
-    for option, text in zip(argv[1::2], argv[2::2]):
-        if option not in options or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
-            return None
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace of a command and its flags, each ``--flag VALUE``,
+    ``--flag=VALUE`` or a unique prefix of --flag, read from the left: a
+    repeated flag keeps its last value, and -h or a bad value ends the parse.
+    After the last flag, a missing required one, then a token no flag takes,
+    is a usage error; each prints one line and exits 2."""
+    if not argv:
+        _usage("the following arguments are required: command")
+    if argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0]):
+        _help(None, None)
+    if argv[0] not in _COMMAND_SPECS:
+        _usage(f"argument command: invalid choice: {argv[0]!r}", _COMMANDS)
+    start, options, required = _COMMAND_SPECS[argv[0]]
+    values, unknown, tokens = dict(start), [], iter(argv[1:])
+    for token in tokens:
+        option, text = token, None
+        if token not in options:  # --flag=VALUE, or a unique prefix of a --flag
+            option, eq, text = token.partition("=")
+            if option not in options and option.startswith("--") and len(option) > 2:
+                matches = [name for name in options if name.startswith(option)]
+                if len(matches) > 1:
+                    _usage(f"ambiguous option: {token} could match {', '.join(matches)}")
+                option = matches[0] if matches else None
+            if option not in options:
+                unknown.append(token)
+                continue
+            text = text if eq else None
+        if options[option] is None:
+            _help(argv[0], text)
         dest, kind, choices = options[option]
+        if text is None:
+            text = next(tokens, "--")
+            if text.startswith("-") and text != "-" and not _NEGATIVE_NUMBER.match(text):
+                text = "--"
+        if text == "--":
+            _usage(f"argument {option}: expected one argument")
         try:
             value = kind(text)
         except ValueError:
-            return None
+            _usage(f"argument {option}: invalid {kind.__name__} value: {text!r}")
         if choices is not None and value not in choices:
-            return None
+            _usage(f"argument {option}: invalid choice: {text!r}", choices)
         values[dest] = value
-    if not required.issubset(argv[1::2]):
-        return None
-    args = argparse.Namespace()
-    vars(args).update(values)
-    return args
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, without argparse for a plain argv:
-    a command, then ``--flag VALUE`` pairs, each flag one of the command's
-    and each VALUE not starting with ``-`` or looking like a negative
-    number, so argparse reads it as an argument.  Each VALUE goes through
-    its flag's type and choices; a repeated flag keeps its last value.  Any
-    other argv, or a plain one with a value argparse rejects or a required
-    flag missing, goes to the full parser, so its messages and exit codes
-    are argparse's."""
-    args = _parse_plain(argv)
-    return _parser().parse_args(argv) if args is None else args
+    missing = [option for option in required if values[options[option][0]] is None]
+    if missing:
+        _usage(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _usage(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -453,16 +453,15 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except (
-        analysis.QuadratureConvergenceError,
-        qmath.EigenConvergenceError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (analysis.QuadratureConvergenceError, qmath.EigenConvergenceError,
+            np.linalg.LinAlgError) as exc:
         print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
         return 1
     chunks = _render(args.command, _config(args), *table)
     try:
         try:
+            if output is None:  # sys.stdout of a process started with descriptor 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             for chunk in chunks:
                 output.write(chunk)
             output.flush()
@@ -482,7 +481,8 @@ def run() -> None:
     at interpreter exit cannot fail on the same bytes again."""
     status = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(status)

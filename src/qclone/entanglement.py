@@ -30,9 +30,6 @@ from .qmath import SQRT_ZERO_FLOOR, NotNormalizedError, _as_matrix4, as_state_ve
 
 #: trace of a density matrix must match 1 within this.
 TRACE_TOL = 1e-10
-#: entries outside the diagonal and anti-diagonal must stay below this for
-#: the closed-form X-state route to apply.
-XSTATE_TOL = 1e-12
 #: an expectation value of a Hermitian operator with imaginary part at or
 #: above this is an internal error, not a warning.
 IMAG_TOL = 1e-12
@@ -41,14 +38,6 @@ IMAG_TOL = 1e-12
 SIGMA_Y_PAIR = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 #: its nonzero entries Y[3-j, j], so that F^T Y = F^T[:, ::-1] * _FLIP_SIGNS.
 _FLIP_SIGNS = SIGMA_Y_PAIR[::-1].diagonal().copy()
-
-#: entries that must vanish in an X-shaped density matrix: all but the
-#: diagonal and the anti-diagonal.
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-
-
-class NotXStateError(ValueError):
-    """Raised when the X-state closed form is applied off-pattern."""
 
 
 @dataclass(frozen=True)
@@ -111,27 +100,6 @@ def concurrence(rho) -> EntanglementReport:
     c = lams[0] - lams[1] - lams[2] - lams[3]
     c = min(c, 1.0) if c > floor else 0.0
     return EntanglementReport(concurrence=c, eof=eof_from_concurrence(c), lambdas=lams)
-
-
-def concurrence_xstate(rho) -> float:
-    """Closed-form concurrence of an X-shaped density matrix.
-
-    2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22))
-    with indices over (|00>, |01>, |10>, |11>).  Raises NotXStateError when
-    any off-pattern entry reaches XSTATE_TOL, and NotNormalizedError when
-    the trace is off 1 by more than TRACE_TOL.
-    """
-    m = _as_matrix4(rho)
-    _check_trace(float(m.trace().real))
-    # argwhere lists the offending entries in row-major order
-    off = np.argwhere(_OFF_X & (np.abs(m) >= XSTATE_TOL))
-    if off.size:
-        i, j = off[0].tolist()
-        raise NotXStateError(f"entry ({i}, {j}) = {m[i, j]!r} breaks the X pattern")
-    d = [max(float(m[i, i].real), 0.0) for i in range(4)]
-    inner = abs(m[1, 2]) - math.sqrt(d[0] * d[3])
-    outer = abs(m[0, 3]) - math.sqrt(d[1] * d[2])
-    return 2.0 * max(0.0, inner, outer)
 
 
 def fidelity(reference, rho) -> float:

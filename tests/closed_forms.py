@@ -1,14 +1,27 @@
 """Closed forms the tests check the library against: the Bell states by
-name, and either clone of alpha|01> - beta|10> written out entry by entry."""
+name, either clone of alpha|01> - beta|10> written out entry by entry, and
+the concurrence of an X-shaped density matrix."""
 
 import math
 
 import numpy as np
 
+from qclone.entanglement import _check_trace
+from qclone.qmath import _as_matrix4
 from qclone.states import BELL_MATRIX
 
 #: names of the rows of ``qclone.states.BELL_MATRIX``.
 BELL_ORDER = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+#: entries outside the diagonal and anti-diagonal must stay below this for
+#: the X-state closed form to apply.
+XSTATE_TOL = 1e-12
+#: entries that must vanish in an X-shaped density matrix: all but the
+#: diagonal and the anti-diagonal.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+class NotXStateError(ValueError):
+    """Raised when the X-state closed form is applied off-pattern."""
 
 
 def bell_state(which: str) -> np.ndarray:
@@ -55,3 +68,24 @@ def acm_clone_closed(alpha: float, s: float) -> np.ndarray:
     rho[1, 2] = -s * alpha * beta
     rho[2, 1] = -s * alpha * beta
     return rho
+
+
+def concurrence_xstate(rho) -> float:
+    """Closed-form concurrence of an X-shaped density matrix.
+
+    2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22))
+    with indices over (|00>, |01>, |10>, |11>).  Raises NotXStateError when
+    any off-pattern entry reaches XSTATE_TOL, and NotNormalizedError when
+    the trace is off 1 by more than TRACE_TOL.
+    """
+    m = _as_matrix4(rho)
+    _check_trace(float(m.trace().real))
+    # argwhere lists the offending entries in row-major order
+    off = np.argwhere(_OFF_X & (np.abs(m) >= XSTATE_TOL))
+    if off.size:
+        i, j = off[0].tolist()
+        raise NotXStateError(f"entry ({i}, {j}) = {m[i, j]!r} breaks the X pattern")
+    d = [max(float(m[i, i].real), 0.0) for i in range(4)]
+    inner = abs(m[1, 2]) - math.sqrt(d[0] * d[3])
+    outer = abs(m[0, 3]) - math.sqrt(d[1] * d[2])
+    return 2.0 * max(0.0, inner, outer)

@@ -13,10 +13,16 @@ import numpy as np
 
 from qclone.cli import main
 from qclone.cloners import acm_boundary_s2, clone
-from qclone.entanglement import SIGMA_Y_PAIR, concurrence, concurrence_xstate, fidelity
+from qclone.entanglement import SIGMA_Y_PAIR, concurrence, fidelity
 from qclone.states import BELL_MATRIX, psi_minus_family
 
-from closed_forms import BELL_ORDER, acm_clone_closed, bell_state, wzcm_clone_closed
+from closed_forms import (
+    BELL_ORDER,
+    acm_clone_closed,
+    bell_state,
+    concurrence_xstate,
+    wzcm_clone_closed,
+)
 
 SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
 

@@ -33,10 +33,10 @@ from qclone.cloners import (
     family_shrink,
 )
 from qclone.cli import main
-from qclone.entanglement import concurrence, concurrence_xstate, eof_from_concurrence
+from qclone.entanglement import concurrence, eof_from_concurrence
 from qclone.states import psi_minus_family
 
-from closed_forms import acm_clone_closed
+from closed_forms import acm_clone_closed, concurrence_xstate
 from figure_table import figure_table
 
 SINGLET = 1 / math.sqrt(2)

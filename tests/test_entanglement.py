@@ -19,10 +19,8 @@ from qclone.cloners import clone, family_shrink
 from qclone.entanglement import (
     _FLIP_SIGNS,
     EntanglementReport,
-    NotXStateError,
     SIGMA_Y_PAIR,
     concurrence,
-    concurrence_xstate,
     eof_from_concurrence,
     fidelity,
 )
@@ -34,6 +32,8 @@ from qclone.qmath import (
     psd_factor,
 )
 from qclone.states import psi_minus_family
+
+from closed_forms import NotXStateError, concurrence_xstate
 
 
 def random_pure(rng):
