@@ -32,7 +32,8 @@ Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
 concurrence SVD fails to converge (the diagnostic names it) and when
 writing the CSV fails (it names the output, and may leave part of the CSV
 written), 2 on a usage error: a command line _parse rejects, a flag out
-of range, an unopenable --output path.  Each prints one line on stderr.
+of range, an unopenable --output path.  Each prints one line on stderr; with
+descriptor 2 closed the line is lost, and the exit code stays the same.
 """
 
 from __future__ import annotations
@@ -362,10 +363,23 @@ def _spec(command: str, table, flags) -> tuple:
 _COMMAND_SPECS = {name: _spec(name, table, flags) for name, (_, table, flags) in _COMMANDS.items()}
 
 
+def _diagnose(line: str) -> None:
+    """Print one diagnostic line on stderr.  A stderr that cannot take it
+    loses the line, and the failure's exit code stands: None, when the
+    interpreter started with descriptor 2 closed, or a stream whose write
+    fails (a full device, a descriptor closed under it)."""
+    if sys.stderr is None:  # print(file=None) would write to stdout
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _usage(message: str, choices=()) -> NoReturn:
     """Print a usage error, with the ``choices`` a value may take, and exit 2."""
     tail = f" (choose from {', '.join(choices)})" if choices else ""
-    print(f"{PROG}: error: {message}{tail}", file=sys.stderr)
+    _diagnose(f"{PROG}: error: {message}{tail}")
     raise SystemExit(2)
 
 
@@ -451,11 +465,11 @@ def main(argv=None) -> int:
         table = args.table(args)
         output = _open_output(args.output)
     except _UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        _diagnose(f"{PROG}: error: {exc}")
         return 2
     except (analysis.QuadratureConvergenceError, qmath.EigenConvergenceError,
             np.linalg.LinAlgError) as exc:
-        print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
+        _diagnose(f"{PROG}: numeric failure: {exc}")
         return 1
     chunks = _render(args.command, _config(args), *table)
     try:
@@ -470,7 +484,7 @@ def main(argv=None) -> int:
                 output.close()
     except OSError as exc:
         target = "stdout" if args.output is None else repr(args.output)
-        print(f"{PROG}: write failure: {exc.strerror or exc}: {target}", file=sys.stderr)
+        _diagnose(f"{PROG}: write failure: {exc.strerror or exc}: {target}")
         return 1
     return 0
 

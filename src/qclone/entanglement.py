@@ -14,8 +14,12 @@ F = V sqrt(w) the eigen-factor of rho (F F^dag = rho): sqrt(rho) Y sqrt(rho)*
 spectrum.  Y is a signed anti-diagonal, so F^T Y is F^T with its columns
 reversed and signed, and a state costs one eigh, one svd and one 4x4
 product.  No eigenvalue goes under a square root, so a small l_i keeps an
-absolute error of a few eps.  rho must have unit trace: a scaled rho scales
-every l_i, and C would be clipped to 1 unseen.
+absolute error of a few eps.  Zero eigenvalues of rho come back from eigh
+as noise of a few eps times max|w|, of either sign, so every w at or below
+SQRT_ZERO_FLOOR times max|w| is set to 0 before the square root: the factor
+of a rank-deficient rho then has no ~1e-8 column off its range.  rho must
+have unit trace: a scaled rho scales every l_i, and C would be clipped to 1
+unseen.
 """
 
 from __future__ import annotations
@@ -26,7 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .qmath import SQRT_ZERO_FLOOR, NotNormalizedError, _as_matrix4, as_state_vector, psd_factor
+from .qmath import (
+    EIG_ROUNDOFF_NEG,
+    SQRT_ZERO_FLOOR,
+    NotNormalizedError,
+    NotPSDError,
+    _as_matrix4,
+    as_state_vector,
+    hermitian_eigen,
+)
 
 #: trace of a density matrix must match 1 within this.
 TRACE_TOL = 1e-10
@@ -75,24 +87,31 @@ def eof_from_concurrence(c: float) -> float:
     return ((y - 1.0) * math.log1p(-y) - y * math.log(y)) / math.log(2.0)
 
 
+# a decorator, as on qmath.hermitian_eigen, so the errstate is built once:
+# a failed SVD returns NaN outputs and raises the invalid flag, which
+# stays silent here
+@np.errstate(all="ignore")
 def concurrence(rho) -> EntanglementReport:
     """Concurrence and entanglement of formation of a two-qubit state.
 
-    Reads the l_i off as the singular values of
-    F^T * (sigma_y x sigma_y) * F with F = psd_factor(rho), and sets to 0
-    every l_i and a C at or below SQRT_ZERO_FLOOR * l1, the size of their
-    rounding error.  psd_factor raises NotPSDError on a non-PSD rho, and a
-    trace off 1 by more than TRACE_TOL raises NotNormalizedError.
+    Reads the l_i off as the singular values of F^T * (sigma_y x sigma_y) * F
+    with F = V sqrt(w) the eigen-factor of rho, and sets to 0 every l_i and
+    a C at or below SQRT_ZERO_FLOOR * l1, the size of their rounding error.
+    Raises as qmath.hermitian_eigen does on a non-Hermitian rho, NotPSDError
+    on an eigenvalue below -EIG_ROUNDOFF_NEG, NotNormalizedError on a trace
+    off 1 by more than TRACE_TOL and LinAlgError when the SVD fails.
     """
-    factor = psd_factor(rho)
-    # tr rho = |F|_F^2 up to the eigenvalues below 1e-10 that the factor
-    # sets to 0; one dot product costs a third of np.trace on rho
-    _check_trace(float(np.vdot(factor, factor).real))
+    values, vectors = hermitian_eigen(rho)
+    w = values.tolist()  # descending
+    if w[3] < -EIG_ROUNDOFF_NEG:
+        raise NotPSDError(f"eigenvalue {w[3]!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor")
+    floor = SQRT_ZERO_FLOOR * max(w[0], -w[3])
+    kept = [x if x > floor else 0.0 for x in w]
+    # tr rho = sum(w), up to the noise set to 0 above
+    _check_trace(sum(kept))
+    factor = vectors * [math.sqrt(x) for x in kept]
     sandwich = (factor.T[:, ::-1] * _FLIP_SIGNS) @ factor
-    # the gufunc np.linalg.svd wraps: a failed solve returns NaN outputs and
-    # raises the invalid flag, which stays silent here
-    with np.errstate(all="ignore"):
-        l = _umath_linalg.svd(sandwich).tolist()
+    l = _umath_linalg.svd(sandwich).tolist()
     if math.isnan(l[0]):
         raise np.linalg.LinAlgError("SVD did not converge")
     floor = SQRT_ZERO_FLOOR * l[0]

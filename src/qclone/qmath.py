@@ -13,11 +13,8 @@ Eigensolves go to LAPACK through ``eigh_lo``, the gufunc in
 ``numpy.linalg._umath_linalg`` that ``np.linalg.eigh`` wraps (numpy>=2.0).
 :func:`hermitian_eigen` checks its input itself, and numpy's wrapper would
 nearly double the cost of a 4x4 solve; its failure contract, NaN outputs
-and the invalid flag, is checked here instead.  Zero eigenvalues come back
-as noise of a few eps times max|eigenvalue|, of either sign, so
-:func:`psd_factor` sets every eigenvalue at or below SQRT_ZERO_FLOOR
-times max|eigenvalue| to 0 before the square root: the factor of a
-rank-deficient matrix then has no ~1e-8 component off its range.
+and the invalid flag, is checked here instead.  It is the one checked
+solve: ``entanglement.concurrence`` calls it too.
 
 Everything here is a pure function; nothing keeps state between calls.
 """
@@ -37,13 +34,11 @@ NORMALIZATION_TOL = 1e-9
 #: eigenvalues in (-EIG_ROUNDOFF_NEG, 0) count as roundoff zeros; anything
 #: more negative is a genuine violation, not noise.
 EIG_ROUNDOFF_NEG = 1e-10
-#: guaranteed residual of psd_factor: max entry of |F@F^dag - a|.
-SQRT_RESIDUAL_TOL = 1e-9
 #: eigenvalues at or below this multiple of max|eigenvalue| are eigh's
 #: backward-error noise on a zero eigenvalue (measured up to 2.7 eps on
-#: rank-deficient densities); psd_factor treats them as exact zeros.
-#: entanglement.concurrence applies the same multiple of l1 to the l_i and
-#: to C, whose rounding errors are of that size.
+#: rank-deficient densities, of either sign); entanglement.concurrence
+#: treats them as exact zeros, and applies the same multiple of l1 to the
+#: l_i and to C, whose rounding errors are of that size.
 SQRT_ZERO_FLOOR = 16.0 * np.finfo(np.float64).eps
 
 
@@ -109,6 +104,11 @@ def as_state_vector(vec, dim: int) -> np.ndarray:
     return v
 
 
+# a decorator, so the errstate is built once and not on every call; a
+# real Inf on the diagonal gives Inf - Inf = NaN, which fails the check
+# below, and a failed solve returns NaN outputs and raises the invalid
+# flag; neither may warn
+@np.errstate(all="ignore")
 def hermitian_eigen(a) -> EigenResult:
     """Eigendecomposition of a Hermitian 4x4 matrix by LAPACK (the ``eigh_lo`` gufunc).
 
@@ -121,34 +121,15 @@ def hermitian_eigen(a) -> EigenResult:
     which then raises ValueError for it rather than NotHermitianError.
     """
     m = _shape4(a)
-    # a real Inf on the diagonal gives Inf - Inf = NaN, which fails the
-    # check below, and a failed solve returns NaN outputs and raises the
-    # invalid flag; neither may warn
-    with np.errstate(all="ignore"):
-        skew = m - m.conj().T
-        if not float(np.abs(skew).max()) <= HERMITICITY_TOL:
-            _as_matrix4(m)  # raises ValueError on a NaN or Inf entry
-            raise NotHermitianError("matrix is not Hermitian within tolerance")
-        values, vectors = _umath_linalg.eigh_lo(m - 0.5 * skew)
+    skew = m - m.conj().T
+    if not float(np.abs(skew).max()) <= HERMITICITY_TOL:
+        _as_matrix4(m)  # raises ValueError on a NaN or Inf entry
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    values, vectors = _umath_linalg.eigh_lo(m - 0.5 * skew)
     # the gufunc fills every output of a failed solve with NaN
     if math.isnan(values[0]):
         raise EigenConvergenceError("Hermitian eigensolve failed: Eigenvalues did not converge")
     return EigenResult(values[::-1], vectors[:, ::-1])
-
-
-def psd_factor(a) -> np.ndarray:
-    """Eigen-factor F = V sqrt(w) of a PSD Hermitian matrix, so F F^dag = a.
-
-    Eigenvalues in (-EIG_ROUNDOFF_NEG, SQRT_ZERO_FLOOR * max|eigenvalue|]
-    are set to zero before the square root; anything below
-    -EIG_ROUNDOFF_NEG raises NotPSDError.
-    """
-    values, vectors = hermitian_eigen(a)
-    w = values.tolist()
-    if w[-1] < -EIG_ROUNDOFF_NEG:
-        raise NotPSDError(f"eigenvalue {w[-1]!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor")
-    floor = SQRT_ZERO_FLOOR * max(w[0], -w[-1])
-    return vectors * [math.sqrt(x) if x > floor else 0.0 for x in w]
 
 
 #: axis order of the (pair 1, pair 2, machine) tensor with the kept factor first.

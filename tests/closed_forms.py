@@ -1,13 +1,20 @@
 """Closed forms the tests check the library against: the Bell states by
-name, either clone of alpha|01> - beta|10> written out entry by entry, and
-the concurrence of an X-shaped density matrix."""
+name, either clone of alpha|01> - beta|10> written out entry by entry, the
+concurrence of an X-shaped density matrix, and the PSD eigen-factor that
+``entanglement.concurrence`` forms inline, as a layer of its own."""
 
 import math
 
 import numpy as np
 
 from qclone.entanglement import _check_trace
-from qclone.qmath import _as_matrix4
+from qclone.qmath import (
+    EIG_ROUNDOFF_NEG,
+    SQRT_ZERO_FLOOR,
+    NotPSDError,
+    _as_matrix4,
+    hermitian_eigen,
+)
 from qclone.states import BELL_MATRIX
 
 #: names of the rows of ``qclone.states.BELL_MATRIX``.
@@ -18,6 +25,8 @@ XSTATE_TOL = 1e-12
 #: entries that must vanish in an X-shaped density matrix: all but the
 #: diagonal and the anti-diagonal.
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+#: guaranteed residual of psd_factor: max entry of |F@F^dag - a|.
+SQRT_RESIDUAL_TOL = 1e-9
 
 
 class NotXStateError(ValueError):
@@ -89,3 +98,19 @@ def concurrence_xstate(rho) -> float:
     inner = abs(m[1, 2]) - math.sqrt(d[0] * d[3])
     outer = abs(m[0, 3]) - math.sqrt(d[1] * d[2])
     return 2.0 * max(0.0, inner, outer)
+
+
+def psd_factor(a) -> np.ndarray:
+    """Eigen-factor F = V sqrt(w) of a PSD Hermitian matrix, so F F^dag = a,
+    with its columns in descending order of w.
+
+    Eigenvalues in (-EIG_ROUNDOFF_NEG, SQRT_ZERO_FLOOR * max|eigenvalue|]
+    are set to zero before the square root; anything below
+    -EIG_ROUNDOFF_NEG raises NotPSDError.
+    """
+    values, vectors = hermitian_eigen(a)
+    w = values.tolist()
+    if w[-1] < -EIG_ROUNDOFF_NEG:
+        raise NotPSDError(f"eigenvalue {w[-1]!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor")
+    floor = SQRT_ZERO_FLOOR * max(w[0], -w[-1])
+    return vectors * [math.sqrt(x) if x > floor else 0.0 for x in w]

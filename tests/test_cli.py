@@ -1098,14 +1098,14 @@ def test_write_failures_exit_one(capsys, monkeypatch, tmp_path, code, target):
         assert path.read_bytes() == b""
 
 
-def run_script(*argv, **kwargs):
-    """``python -m qclone`` in a child interpreter, importing this checkout."""
+def run_script(*argv, prelude=None, **kwargs):
+    """``python -m qclone`` in a child interpreter, importing this checkout;
+    with ``prelude``, the child runs that code and then the console script."""
     env = dict(os.environ)
     src = str(pathlib.Path(qclone.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.Popen(
-        [sys.executable, "-m", "qclone", *argv], env=env, text=True, **kwargs
-    )
+    start = ["-m", "qclone"] if prelude is None else ["-c", f"{prelude}\nimport qclone.cli\nqclone.cli.run()"]
+    return subprocess.Popen([sys.executable, *start, *argv], env=env, text=True, **kwargs)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -1139,6 +1139,42 @@ def test_closed_stdout_exits_one_with_one_line():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1 and "Traceback" not in err
     assert err == "qclone: write failure: Bad file descriptor: stdout\n"
+
+
+_FAILED_SVD = "import numpy as np\nnp.linalg._umath_linalg.svd = lambda a: np.full(4, np.nan)"
+
+
+@pytest.mark.parametrize(
+    "argv, prelude, status, line",
+    [
+        (["fig1", "--bogus"], None, 2, "qclone: error: unrecognized arguments: --bogus\n"),
+        (["fig1", "--grid-points", "1"], None, 2, "qclone: error: --grid-points must be at least 2\n"),
+        (
+            ["entangle", "--machine", "wzcm", "--alpha", "0.6"], _FAILED_SVD, 1,
+            "qclone: numeric failure: SVD did not converge\n",
+        ),
+        pytest.param(
+            ["fig1", "--grid-points", "11", "--output", "/dev/full"], None, 1,
+            "qclone: write failure: No space left on device: '/dev/full'\n",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full"),
+        ),
+    ],
+    ids=["usage_error", "bad_value", "numeric_failure", "write_failure"],
+)
+def test_closed_stderr_keeps_the_exit_status(argv, prelude, status, line):
+    # with stderr open each case exits with its status and one line.  With
+    # descriptor 2 closed before the interpreter starts, sys.stderr is None
+    # (print(file=None) would write the line to stdout); with stderr on
+    # /dev/full, the print raises ENOSPC.  Either way the line is lost and
+    # the status and the empty stdout stay
+    proc = run_script(
+        *argv, prelude=prelude, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.communicate(timeout=60) == ("", line) and proc.returncode == status
+    with open("/dev/full" if os.path.exists("/dev/full") else os.devnull, "w") as full:
+        for target in ({"preexec_fn": lambda: os.close(2)}, {"stderr": full}):
+            proc = run_script(*argv, prelude=prelude, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, **target)
+            assert proc.communicate(timeout=60) == ("", None) and proc.returncode == status
 
 
 @pytest.mark.parametrize("branch", ["upper", "lower"])

@@ -9,6 +9,7 @@ sqrt(rho) (sigma_y x sigma_y) sqrt(rho)* at 30 digits.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -26,14 +27,14 @@ from qclone.entanglement import (
 )
 from qclone.qmath import (
     SQRT_ZERO_FLOOR,
+    EigenConvergenceError,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
-    psd_factor,
 )
 from qclone.states import psi_minus_family
 
-from closed_forms import NotXStateError, concurrence_xstate
+from closed_forms import NotXStateError, concurrence_xstate, psd_factor
 
 
 def random_pure(rng):
@@ -135,7 +136,8 @@ def test_spin_flip_is_a_signed_column_reversal():
 
 
 def test_lambdas_are_the_singular_values_of_the_sandwich():
-    # against the two-product sandwich svd(F^T Y F) with the same floor
+    # against the two-product sandwich svd(F^T Y F) with the same floor, F
+    # the layered eigen-factor of tests/closed_forms.py
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(67)
     for k in range(400):
@@ -349,6 +351,51 @@ def test_concurrence_rejects_non_hermitian_indefinite_and_nan_input():
     poisoned[2, 2] = np.nan
     with pytest.raises(ValueError, match="NaN or Inf"):
         concurrence(poisoned)
+
+
+# LAPACK's non-convergence as numpy's gufuncs return it: every output NaN,
+# with the floating-point invalid flag raised (here by 0/0)
+def _failed_eigh(a):
+    return np.zeros(4) / 0.0, np.zeros((4, 4), np.complex128) / 0.0
+
+
+def _failed_svd(a):
+    return np.zeros(4) / 0.0
+
+
+def _with_entry(index, value):
+    m = np.eye(4, dtype=np.complex128) / 4.0
+    m[index] = value
+    return m
+
+
+#: each check on concurrence's route: input, gufunc stand-in, type, message.
+ROUTE_CHECKS = {
+    "wrong_shape": (np.eye(3) / 3.0, None, ValueError, r"^expected a 4x4 matrix, got shape \(3, 3\)$"),
+    "nan_entry": (_with_entry((1, 2), np.nan), None, ValueError, r"^matrix contains NaN or Inf entries$"),
+    "inf_on_diagonal": (_with_entry((3, 3), np.inf), None, ValueError, r"^matrix contains NaN or Inf entries$"),
+    "skew": (_with_entry((0, 1), 2e-10), None, NotHermitianError, r"^matrix is not Hermitian within tolerance$"),
+    "eigh_nan": (
+        np.eye(4) / 4.0, ("eigh_lo", _failed_eigh), EigenConvergenceError,
+        r"^Hermitian eigensolve failed: Eigenvalues did not converge$",
+    ),
+    "not_psd": (np.diag([0.4, 0.4, 0.3, -0.1]), None, NotPSDError, r"^eigenvalue -0\.1 below the -1e-10 roundoff floor$"),
+    "trace": (np.eye(4) / 2.0, None, NotNormalizedError, r"^density matrix trace 2\.0 differs from 1$"),
+    "svd_nan": (np.eye(4) / 4.0, ("svd", _failed_svd), np.linalg.LinAlgError, r"^SVD did not converge$"),
+}
+
+
+@pytest.mark.parametrize("rho, stand_in, error, message", ROUTE_CHECKS.values(), ids=ROUTE_CHECKS)
+def test_each_check_on_the_route_keeps_its_type_and_message(monkeypatch, rho, stand_in, error, message):
+    if stand_in is not None:
+        name, solve = stand_in
+        monkeypatch.setattr(f"qclone.entanglement._umath_linalg.{name}", solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error, match=message) as info:
+            concurrence(rho)
+    assert type(info.value) is error
+    assert caught == []
 
 
 def test_xstate_concurrence_rejects_a_trace_off_one():

@@ -1,4 +1,6 @@
-"""Eigensolver, PSD eigen-factor and partial trace against numpy and mpmath oracles."""
+"""Eigensolver and partial trace against numpy and mpmath oracles, and the
+eigen-factor oracle of ``tests/closed_forms.py`` that concurrence is
+checked against."""
 
 import warnings
 
@@ -12,12 +14,12 @@ from qclone.qmath import (
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
-    SQRT_RESIDUAL_TOL,
     as_state_vector,
     hermitian_eigen,
     partial_trace,
-    psd_factor,
 )
+
+from closed_forms import SQRT_RESIDUAL_TOL, psd_factor
 
 
 def random_hermitian(rng, scale=1.0):
@@ -66,7 +68,7 @@ def test_eigen_raises_when_eigh_fails(monkeypatch):
         with pytest.raises(EigenConvergenceError, match="did not converge"):
             hermitian_eigen(a)
         with pytest.raises(EigenConvergenceError):
-            psd_factor(np.eye(4, dtype=np.complex128))
+            concurrence(np.eye(4, dtype=np.complex128) / 4.0)
     assert caught == []
 
 
@@ -176,10 +178,15 @@ def test_sqrt_reference_values():
 
 
 def test_sqrt_rejects_indefinite():
-    # the message prints the eigenvalue as a plain float
-    a = np.diag([1.0, 1.0, 1.0, -0.1]).astype(np.complex128)
-    with pytest.raises(NotPSDError, match=r"^eigenvalue -0\.1 below the -1e-10 roundoff floor$"):
-        psd_factor(a)
+    # the message prints the eigenvalue as a plain float; the check comes
+    # before the trace check, so a trace off 1 does not hide it
+    message = r"^eigenvalue -0\.1 below the -1e-10 roundoff floor$"
+    for diag in ([0.4, 0.4, 0.3, -0.1], [1.0, 1.0, 1.0, -0.1]):
+        a = np.diag(diag).astype(np.complex128)
+        with pytest.raises(NotPSDError, match=message):
+            concurrence(a)
+        with pytest.raises(NotPSDError, match=message):
+            psd_factor(a)
 
 
 def test_sqrt_tolerates_eigenvalue_roundoff():
@@ -188,6 +195,7 @@ def test_sqrt_tolerates_eigenvalue_roundoff():
     factor = psd_factor(a)
     assert np.all(factor[:, 3] == 0.0)
     assert np.max(np.abs(factor @ factor.conj().T - a)) <= 1e-12
+    assert concurrence(a / 1.75).lambdas[3] == 0.0
 
 
 def brute_force_reduced(vec, keep):
@@ -267,7 +275,6 @@ NONFINITE_VECTOR_ENTRIES = {
 }
 MATRIX_CHECKS = {
     "hermitian_eigen": hermitian_eigen,
-    "psd_factor": psd_factor,
     "concurrence": concurrence,
 }
 VECTOR_CHECKS = {
