@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,12 +47,12 @@ class QuadratureConvergenceError(RuntimeError):
     """Raised when a quadrature's error estimate exceeds its tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value, a-posteriori error estimate and evaluation count of an integral.
 
-    :func:`family_mean` returns arrays of values and estimates, one entry
-    per shrink; ``evaluations`` counts integrand evaluations in total.
+    A named tuple, read by field or by position.  :func:`family_mean`
+    returns arrays of values and estimates, one entry per shrink;
+    ``evaluations`` counts integrand evaluations in total.
     """
 
     value: float | np.ndarray

@@ -16,7 +16,7 @@ over the computational basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,23 +55,36 @@ class ConstraintViolatedError(ValueError):
     """Raised when a shrink-factor pair falls outside the allowed region."""
 
 
-@dataclass(frozen=True)
-class ShrinkParams:
+# a typing.NamedTuple body may not define __new__, so ShrinkParams checks
+# its bounds in a subclass of this one
+class _ShrinkPair(NamedTuple):
+    s1: float
+    s2: float
+
+
+class ShrinkParams(_ShrinkPair):
     """Shrink-factor pair (s1, s2) of the asymmetric cloner.
 
-    Construction only checks the [0, 1] bounds.  Region membership,
+    A named tuple, read by field or by position.  Construction only checks
+    the [0, 1] bounds, on every path: the constructor, ``_make`` and
+    ``_replace``, which calls ``_make``.  Region membership,
     ``acm_region_value(s1, s2) <= CONSTRAINT_SLACK``, is checked separately,
     so that out-of-region pairs can be represented (e.g. as grid points to
     be marked excluded).
     """
 
-    s1: float
-    s2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, s in (("s1", self.s1), ("s2", self.s2)):
+    def __new__(cls, s1: float, s2: float):
+        for name, s in (("s1", s1), ("s2", s2)):
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {s!r}")
+        return super().__new__(cls, s1, s2)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make builds the tuple without calling __new__
+        return cls(*iterable)
 
 
 def acm_region_value(s1, s2):

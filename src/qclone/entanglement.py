@@ -25,7 +25,7 @@ unseen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -52,12 +52,13 @@ SIGMA_Y_PAIR = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 _FLIP_SIGNS = SIGMA_Y_PAIR[::-1].diagonal().copy()
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     """Concurrence, entanglement of formation and the spectrum behind them.
 
-    ``lambdas`` holds the four l_i in decreasing order; ``method`` records
-    which route produced the numbers.
+    A named tuple, read by field or by position.  ``lambdas`` holds the four
+    l_i in decreasing order.  :func:`concurrence` is the only producer and
+    always leaves ``method`` at ``"generic"``; the field stays only because
+    the benchmark's ``perfbench/child.py`` reads it (ROADMAP item 5).
     """
 
     concurrence: float
@@ -115,10 +116,10 @@ def concurrence(rho) -> EntanglementReport:
     if math.isnan(l[0]):
         raise np.linalg.LinAlgError("SVD did not converge")
     floor = SQRT_ZERO_FLOOR * l[0]
-    lams = tuple(x if x > floor else 0.0 for x in l)
+    lams = tuple([x if x > floor else 0.0 for x in l])
     c = lams[0] - lams[1] - lams[2] - lams[3]
     c = min(c, 1.0) if c > floor else 0.0
-    return EntanglementReport(concurrence=c, eof=eof_from_concurrence(c), lambdas=lams)
+    return EntanglementReport(c, eof_from_concurrence(c), lams)
 
 
 def fidelity(reference, rho) -> float:

@@ -122,7 +122,7 @@ def hermitian_eigen(a) -> EigenResult:
     """
     m = _shape4(a)
     skew = m - m.conj().T
-    if not float(np.abs(skew).max()) <= HERMITICITY_TOL:
+    if not np.abs(skew).max() <= HERMITICITY_TOL:
         _as_matrix4(m)  # raises ValueError on a NaN or Inf entry
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     values, vectors = _umath_linalg.eigh_lo(m - 0.5 * skew)

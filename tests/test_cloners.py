@@ -173,16 +173,34 @@ def test_acm_at_scm_shrink_is_bitwise_scm():
 
 
 def test_shrink_params_validation_and_constraint():
-    with pytest.raises(ValueError):
-        ShrinkParams(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        ShrinkParams(0.5, 1.01)
+    # the bounds check on each way of building one is the test below
     p = ShrinkParams(0.5, 0.5)
     # 4(1-s1-s2)^2 - (1-s1)(1-s2) at the symmetric midpoint
     assert abs(acm_region_value(p.s1, p.s2) - (-0.25)) < 1e-15
     assert acm_region_value(p.s1, p.s2) <= CONSTRAINT_SLACK
     assert acm_region_value(0.9, 0.9) > CONSTRAINT_SLACK
     assert acm_region_value(0.0, 0.0) > CONSTRAINT_SLACK
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.01, math.nan], ids=["below", "above", "nan"])
+def test_every_shrink_params_construction_checks_the_range(bad):
+    # a NamedTuple's _make, which _replace calls, skips __new__: without its
+    # override _replace would let an out-of-range pair through
+    p = ShrinkParams(0.5, 0.5)
+    builds = {
+        "s1": (lambda: ShrinkParams(bad, 0.5), lambda: ShrinkParams._make([bad, 0.5]),
+               lambda: p._replace(s1=bad)),
+        "s2": (lambda: ShrinkParams(0.5, bad), lambda: ShrinkParams._make((0.5, bad)),
+               lambda: p._replace(s2=bad)),
+    }
+    for name, paths in builds.items():
+        for build in paths:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"{name} must lie in [0, 1], got {bad!r}"
+    moved = p._replace(s2=0.25)
+    assert type(moved) is ShrinkParams and moved == (0.5, 0.25)
+    assert ShrinkParams._make(iter([1.0, 0.0])) == ShrinkParams(1.0, 0.0)
 
 
 def test_degenerate_endpoints():

@@ -9,14 +9,20 @@ parameters of the two alpha-mean functions that ``mean`` calls by name
 ``EntanglementReport.method``; its generic workload also calls
 ``wzcm_full_output`` and ``partial_trace``, whose trace must be the wzcm
 ``clone``.  The last tests pin those, so a rename fails here instead of
-leaving a traced metric at zero.
+leaving a traced metric at zero.  The three result records are named
+tuples, and no qclone module imports ``dataclasses``.
 """
 
+import ast
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 import qclone
 import qclone.analysis
@@ -120,3 +126,70 @@ def test_benchmark_binds_the_mean_parameters(monkeypatch, tmp_path):
     s1 = np.linspace(0.0, 1.0, 3)
     s2 = np.clip(qclone.cloners.acm_boundary_s2(s1, "upper"), 0.0, 1.0)
     assert [s.tolist() for s in shrinks] == [[*s1.tolist(), *s2.tolist(), 1.0, 0.6]]
+
+
+RECORDS = {
+    qclone.entanglement.EntanglementReport: ("concurrence", "eof", "lambdas", "method"),
+    qclone.analysis.QuadratureResult: ("value", "abs_error_estimate", "evaluations"),
+    qclone.cloners.ShrinkParams: ("s1", "s2"),
+}
+
+
+def test_result_records_are_named_tuples():
+    for record, fields in RECORDS.items():
+        assert issubclass(record, tuple) and record._fields == fields, record
+    report_type = qclone.entanglement.EntanglementReport
+    assert report_type._field_defaults == {"method": "generic"}
+    lams = (0.7, 0.1, 0.05, 0.05)
+    pairs = [
+        (report_type(0.5, 0.3, lams),
+         report_type(concurrence=0.5, eof=0.3, lambdas=lams, method="generic")),
+        (qclone.analysis.QuadratureResult(0.25, 1e-9, 64),
+         qclone.analysis.QuadratureResult(value=0.25, abs_error_estimate=1e-9, evaluations=64)),
+        (qclone.ShrinkParams(0.7, 0.48), qclone.ShrinkParams(s1=0.7, s2=0.48)),
+    ]
+    for positional, keyword in pairs:
+        assert positional == keyword and type(positional) is type(keyword)
+        for name in positional._fields:
+            with pytest.raises(AttributeError):
+                setattr(positional, name, getattr(positional, name))
+        with pytest.raises(AttributeError):
+            positional.extra = 1
+    report = qclone.concurrence(qclone.clone(qclone.psi_minus_family(0.6), "scm"))
+    assert isinstance(report, report_type)
+    assert report == (report.concurrence, report.eof, report.lambdas, "generic")
+
+
+PACKAGE = pathlib.Path(qclone.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def test_no_module_imports_dataclasses():
+    assert len(SOURCES) >= 6
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
+
+
+def test_import_does_not_load_dataclasses():
+    # relative to numpy: a numpy that imports dataclasses itself does not fail
+    env = dict(os.environ)
+    src = str(PACKAGE.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys, numpy\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "import qclone, qclone.cli\n"
+        "print(qclone.__file__, before, 'dataclasses' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert pathlib.Path(out[0]).resolve() == PACKAGE / "__init__.py"
+    assert out[1:] in (["False", "False"], ["True", "True"])
