@@ -6,7 +6,9 @@ copy's shrink, :func:`qclone.cloners.family_shrink`.  :func:`family_eof`
 applies that closed form and Wootters' C -> EoF law elementwise, so each
 figure is one array expression over its whole grid.  :func:`family_mean`
 integrates the same closed form over alpha for a whole array of shrinks
-at once, by Gauss-Legendre on the pieces where C > 0.
+at once: in the variable t = cos(theta) - sin(theta), alpha = sin(theta),
+C is the parabola c0 - s t^2 and the mean is one integral of E over the
+t where C > 0, by Gauss-Legendre, with no trigonometry.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ QUAD_MIN_TOL = 1e-10
 #: Gauss-Legendre order n of family_mean: it pairs the n- and 2n-point
 #: rules, whose difference is the error estimate.  At n = 16 the largest
 #: estimate over 200001 evenly spaced shrinks, and 4000 more next to
-#: s = 1/3 and s = 1, is 5.3e-13, well inside QUAD_MIN_TOL.
+#: s = 1/3 and s = 1, is 9.77e-13, well inside QUAD_MIN_TOL.
 GL_ORDER = 16
 #: added to every family_mean estimate: a bound on float64 rounding in the
 #: integral, as the binary entropy in E carries absolute errors up to
@@ -103,12 +105,13 @@ def family_eof(alpha, s):
 
 @functools.cache
 def _gl_rules(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared nodes and weights of the n- and 2n-point rules on u in [0, 1].
+    """Node shapes and weights of the n- and 2n-point rules on u in [0, 1].
 
     The 3n nodes of both rules sit in one array, so one evaluation of the
-    integrand serves both; column k of the (3n, 2) weights holds rule k's
-    weights (zero on the other rule's nodes) times the Jacobian 2u of
-    theta = end + h u^2.
+    integrand serves both.  The shapes are g = u^2 (2 - u^2), the fraction
+    of c0 that C reaches at node u; column k of the (3n, 2) weights holds
+    rule k's weights (zero on the other rule's nodes) times the Jacobian 2u
+    of t = T (1 - u^2) over T.
     """
     u1, w1 = np.polynomial.legendre.leggauss(n)
     u2, w2 = np.polynomial.legendre.leggauss(2 * n)
@@ -116,19 +119,22 @@ def _gl_rules(n: int) -> tuple[np.ndarray, np.ndarray]:
     w = np.zeros((3 * n, 2))
     w[:n, 0] = w1
     w[n:, 1] = w2
-    return u * u, w * u[:, None]
+    sq = u * u
+    return sq * (2.0 - sq), w * u[:, None]
 
 
 def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     """Integral over alpha in [0, 1] of family_eof(alpha, s), for each shrink in s.
 
     With alpha = sin(theta) the integrand is E(theta) cos(theta) on
-    [0, pi/2], and C = max(0, s sin(2 theta) - (1-s)/2) is nonzero only
-    between the kink theta1 = asin((1-s)/(2s))/2 and its mirror
-    pi/2 - theta1 (none for s <= 1/3).  C is symmetric about pi/4, so the
-    two halves fold into one integral of E (cos + sin) over [theta1, pi/4];
-    theta = theta1 + h u^2 smooths the C^2 log C start at the kink.  The
-    n- and 2n-point Gauss-Legendre rules (n = GL_ORDER) share one array
+    [0, pi/2], and C = s sin(2 theta) - (1-s)/2 is symmetric about pi/4, so
+    the two halves fold into one integral of E (cos + sin) over [0, pi/4].
+    With sin(2 theta) = 1 - t^2, (cos + sin) dtheta = dt and the mean is
+    the integral of E(c0 - s t^2) over t in [0, T]: c0 = max(0, 1.5 s - 0.5)
+    is C at the singlet and T = sqrt(c0/s) is where C reaches 0 (T = 0 for
+    s <= 1/3).  t = T (1 - u^2) smooths the C^2 log C start at the kink and
+    leaves T times the integral of E(c0 u^2 (2 - u^2)) 2u over u in [0, 1].
+    The n- and 2n-point Gauss-Legendre rules (n = GL_ORDER) share one array
     evaluation over every shrink; the 2n value is returned with
     |Q_2n - Q_n| + GL_ROUNDOFF as its estimate.  Raises
     QuadratureConvergenceError if any estimate exceeds tol.
@@ -138,17 +144,13 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     if not _in_unit_interval(s):
         raise ValueError("shrink factors must lie in [0, 1]")
     col = s.reshape(-1, 1)
-    # k >= 1, so theta1 = pi/4 and h = 0, for every s <= 1/3
-    k = np.minimum((1.0 - col) / np.maximum(2.0 * col, 2.0 / 3.0), 1.0)
-    theta1 = 0.5 * np.arcsin(k)
-    h = 0.25 * np.pi - theta1
-    u2, w = _gl_rules(GL_ORDER)
-    theta = theta1 + h * u2
-    c = np.minimum(np.maximum(col * np.sin(2.0 * theta) - (1.0 - col) / 2.0, 0.0), 1.0)
-    # cos + sin = sqrt(2) sin(theta + pi/4); einsum, not @, whose BLAS kernel
-    # follows the row count: a shrink's bits must not depend on its batch
-    q = np.einsum("ij,jk->ik", _wootters_eof(c) * np.sin(theta + 0.25 * np.pi), w)
-    q *= math.sqrt(2.0) * h
+    c0 = np.maximum(1.5 * col - 0.5, 0.0)
+    g, w = _gl_rules(GL_ORDER)
+    # einsum, not @, whose BLAS kernel follows the row count: a shrink's
+    # bits must not depend on its batch
+    q = np.einsum("ij,jk->ik", _wootters_eof(c0 * g), w)
+    # c0 = 0 for every s <= 1/3, so the floor on s only keeps 0/0 away
+    q *= np.sqrt(c0 / np.maximum(col, 1.0 / 3.0))
     value = q[:, 1].reshape(s.shape)
     err = (np.abs(q[:, 1] - q[:, 0]) + GL_ROUNDOFF).reshape(s.shape)
     # a NaN estimate fails, as a NaN shrink fails the range check
@@ -158,7 +160,7 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
             f"alpha mean at s = {float(s.flat[worst])!r}: estimate {float(err.flat[worst]):g} "
             f"above tol {tol:g} at Gauss-Legendre order {2 * GL_ORDER}"
         )
-    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=u2.size * col.shape[0])
+    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=g.size * col.shape[0])
 
 
 def _require_region(s1, s2) -> None:

@@ -1,12 +1,15 @@
 """Closed forms the tests check the library against: the Bell states by
 name, either clone of alpha|01> - beta|10> written out entry by entry, the
-concurrence of an X-shaped density matrix, and the PSD eigen-factor that
-``entanglement.concurrence`` forms inline, as a layer of its own."""
+concurrence of an X-shaped density matrix, the PSD eigen-factor that
+``entanglement.concurrence`` forms inline, as a layer of its own, and the
+alpha mean in the angle variable that ``analysis.family_mean`` replaced."""
 
+import functools
 import math
 
 import numpy as np
 
+from qclone.analysis import GL_ORDER, GL_ROUNDOFF, QuadratureResult, _wootters_eof
 from qclone.entanglement import _check_trace
 from qclone.qmath import (
     EIG_ROUNDOFF_NEG,
@@ -114,3 +117,49 @@ def psd_factor(a) -> np.ndarray:
         raise NotPSDError(f"eigenvalue {w[-1]!r} below the -{EIG_ROUNDOFF_NEG:g} roundoff floor")
     floor = SQRT_ZERO_FLOOR * max(w[0], -w[-1])
     return vectors * [math.sqrt(x) if x > floor else 0.0 for x in w]
+
+
+@functools.cache
+def _theta_gl_rules(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared nodes and weights of the n- and 2n-point rules on u in [0, 1].
+
+    The 3n nodes of both rules sit in one array, so one evaluation of the
+    integrand serves both; column k of the (3n, 2) weights holds rule k's
+    weights (zero on the other rule's nodes) times the Jacobian 2u of
+    theta = end + h u^2.
+    """
+    u1, w1 = np.polynomial.legendre.leggauss(n)
+    u2, w2 = np.polynomial.legendre.leggauss(2 * n)
+    u = 0.5 * (np.concatenate((u1, u2)) + 1.0)
+    w = np.zeros((3 * n, 2))
+    w[:n, 0] = w1
+    w[n:, 1] = w2
+    return u * u, w * u[:, None]
+
+
+def theta_family_mean(s) -> QuadratureResult:
+    """The alpha mean of ``family_mean`` by the substitution alpha = sin(theta),
+    for shrinks already in [0, 1], with no tolerance check.
+
+    C = max(0, s sin(2 theta) - (1-s)/2) is nonzero only between the kink
+    theta1 = asin((1-s)/(2s))/2 and its mirror pi/2 - theta1 (none for
+    s <= 1/3).  C is symmetric about pi/4, so the two halves fold into one
+    integral of E (cos + sin) over [theta1, pi/4]; theta = theta1 + h u^2
+    smooths the C^2 log C start at the kink.  The n- and 2n-point rules
+    (n = GL_ORDER) give the value and |Q_2n - Q_n| + GL_ROUNDOFF.
+    """
+    s = np.asarray(s, dtype=float)
+    col = s.reshape(-1, 1)
+    # k >= 1, so theta1 = pi/4 and h = 0, for every s <= 1/3
+    k = np.minimum((1.0 - col) / np.maximum(2.0 * col, 2.0 / 3.0), 1.0)
+    theta1 = 0.5 * np.arcsin(k)
+    h = 0.25 * np.pi - theta1
+    u2, w = _theta_gl_rules(GL_ORDER)
+    theta = theta1 + h * u2
+    c = np.minimum(np.maximum(col * np.sin(2.0 * theta) - (1.0 - col) / 2.0, 0.0), 1.0)
+    # cos + sin = sqrt(2) sin(theta + pi/4)
+    q = np.einsum("ij,jk->ik", _wootters_eof(c) * np.sin(theta + 0.25 * np.pi), w)
+    q *= math.sqrt(2.0) * h
+    value = q[:, 1].reshape(s.shape)
+    err = (np.abs(q[:, 1] - q[:, 0]) + GL_ROUNDOFF).reshape(s.shape)
+    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=u2.size * col.shape[0])

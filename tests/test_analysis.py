@@ -36,7 +36,7 @@ from qclone.cli import main
 from qclone.entanglement import concurrence, eof_from_concurrence
 from qclone.states import psi_minus_family
 
-from closed_forms import acm_clone_closed, concurrence_xstate
+from closed_forms import acm_clone_closed, concurrence_xstate, theta_family_mean
 from figure_table import figure_table
 
 SINGLET = 1 / math.sqrt(2)
@@ -445,6 +445,7 @@ def test_former_simpson_faults_are_within_their_estimates():
 @example(s=1 / 3, tol=1e-10)
 @example(s=math.nextafter(1 / 3, 1.0), tol=1e-10)
 @example(s=1.0, tol=1e-10)
+@example(s=1 / 3 + 1e-9, tol=1e-10)
 def test_family_mean_error_estimate_is_honest(s, tol):
     res = family_mean(s, tol)
     error = abs(mpmath.mpf(float(res.value)) - mp_family_mean(s))
@@ -480,6 +481,31 @@ def test_family_mean_bits_do_not_depend_on_the_batch():
     singles = [family_mean(s) for s in shrinks]
     assert batch.value.tolist() == [float(r.value) for r in singles]
     assert batch.abs_error_estimate.tolist() == [float(r.abs_error_estimate) for r in singles]
+
+
+def test_family_mean_matches_the_angle_variable_route():
+    # the same mean through alpha = sin(theta) and its own rules: 20001 even
+    # shrinks, plus 2000 each within 1e-15 to 1e-1 of the threshold 1/3 and of 1
+    near = np.geomspace(1e-15, 1e-1, 2000)
+    shrinks = np.concatenate((np.linspace(0.0, 1.0, 20001), 1 / 3 + near, 1.0 - near))
+    res = family_mean(shrinks)
+    want = theta_family_mean(shrinks)
+    assert np.abs(res.value - want.value).max() <= 1e-15
+    assert res.evaluations == want.evaluations == 48 * shrinks.size
+
+
+#: the shrinks where c0 = max(0, 1.5 s - 0.5) and T = sqrt(c0/s) start.
+EDGE_SHRINKS = [0.0, 1 / 3, math.nextafter(1 / 3, 1.0), 1 / 3 + 1e-15, 1.0]
+
+
+def test_family_mean_at_the_edges_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        singles = [family_mean(s) for s in EDGE_SHRINKS]
+        batch = family_mean(np.array(EDGE_SHRINKS))
+    assert batch.value.tolist() == [float(r.value) for r in singles]
+    assert batch.abs_error_estimate.tolist() == [float(r.abs_error_estimate) for r in singles]
+    assert batch.value[:2].tolist() == [0.0, 0.0]
 
 
 def test_family_mean_gives_up_above_its_tolerance(monkeypatch):
