@@ -12,7 +12,10 @@ are Unix.  Identical flags produce identical bytes.  Every command returns
 its table, (header, columns), before a byte is written, so numeric and
 usage failures write nothing; main then formats and writes the rows
 BLOCK_ROWS at a time, never held as one string.  The comment and header
-lines go out with the first block.
+lines go out with the first block.  A column may be coded as values[index],
+and each values array is formatted once per command however many columns
+and rows share it: the grid of fig2 and fig4, fig4's boundary s2, fig5's
+two constant reference means.
 
 Every command and flag is declared once, in the table _COMMANDS, and
 _parse reads every command line, and -h lists every flag, from it.
@@ -57,8 +60,8 @@ PROG = "qclone"
 _SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
 #: largest accepted --grid-points: fig2 and fig4 write n^2 rows, and at
 #: 1001 (a million rows, 31 MB of CSV for fig2) an in-process run to a
-#: file took 0.5-0.7 s for fig2 and 0.7-0.9 s for fig4 (3 runs each, both
-#: branches, shared 2-vCPU Xeon host).
+#: file took 0.40-0.61 s for fig2 (alpha 1/sqrt(2) and 0.9) and 0.54-0.63 s
+#: for fig4 (both branches; 18 runs each, shared 2-vCPU Xeon host).
 GRID_POINTS_MAX = 1001
 #: rows formatted and written at a time.
 BLOCK_ROWS = 4096
@@ -79,20 +82,27 @@ def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
     a table of no rows).  Each block is formatted by one % over a row
     template: %.9g for float columns, %d for int columns, true/false for
     bool columns.  A column is a numpy array, or a pair (values, index)
-    standing for values[index]: each value is formatted once and each row
-    takes its text by index, and index -1 prints outside_region, so a cell
-    with no value is never formatted.  The repeat and tile layout of a 2-D
-    sweep gives (grid, index) pairs; fig2's avg_eof is (in-region
-    averages, index) with -1 at each pair outside the acm region.
+    standing for values[index]: each distinct values array is formatted
+    once per call, however many columns share it, each row takes its text
+    by index, and index -1 prints outside_region, so a cell with no value
+    is never formatted.  The repeat and tile layout of a 2-D sweep gives
+    (grid, index) pairs, both over one grid; fig2's avg_eof is (in-region
+    averages, index) with -1 at each pair outside the acm region; fig5's
+    reference columns are (one mean, zeros).
     """
     lines = [f"# command: {command}"]
     for key, value in config:
         lines.append(f"# {key}: {value!r}" if isinstance(value, float) else f"# {key}: {value}")
     lines.append(",".join(header))
     head = "\n".join(lines) + "\n"
-    # bool and (values, index) columns become (table of texts, index)
+    # bool and (values, index) columns become (table of texts, index); a
+    # values array that several columns share is formatted once
+    tables = {}
+    for c in columns:
+        if isinstance(c, tuple) and id(c[0]) not in tables:
+            tables[id(c[0])] = np.array(_texts(c[0]) + ["outside_region"], dtype=object)
     coded = [
-        (np.array(_texts(c[0]) + ["outside_region"], dtype=object), c[1])
+        (tables[id(c[0])], c[1])
         if isinstance(c, tuple)
         else (_BOOL_WORDS, c.astype(int)) if c.dtype.kind == "b" else None
         for c in columns
@@ -184,20 +194,28 @@ def _check_unit(flag: str, value: float) -> None:
 
 
 def _grid(n: int) -> np.ndarray:
-    """The uniform grid of --grid-points ``n`` points, ``n`` checked first."""
+    """The uniform grid of --grid-points ``n`` points, ``n`` checked first.
+
+    These are the operations of np.linspace(0.0, 1.0, n): i times the step
+    1/(n-1), the last point set to 1.0, so the grid is linspace's bit for
+    bit (tested for every accepted n).  linspace itself spends longer on
+    its argument handling than on the grid at the default size."""
     if n < 2:
         raise _UsageError("--grid-points must be at least 2")
     if n > GRID_POINTS_MAX:
         raise _UsageError(f"--grid-points must be at most {GRID_POINTS_MAX}")
-    return np.linspace(0.0, 1.0, n)
+    grid = np.arange(n) * (1.0 / (n - 1))
+    grid[-1] = 1.0
+    return grid
 
 
 def _boundary(s1: np.ndarray, branch: str) -> np.ndarray:
     """s2 on ``branch`` of the region boundary, clipped to [0, 1].  The
     lower branch drops below s2 = 0 for s1 > 3/4 (to -0.0667), and the
     clip moves those points to the edge s2 = 0: 49 of the 201 default s1
-    points.  At 1 the clip only absorbs rounding."""
-    return np.minimum(np.maximum(cloners.acm_boundary_s2(s1, branch), 0.0), 1.0)
+    points.  At 1 the clip only absorbs rounding.  ``s1`` is a grid and
+    ``branch`` a parsed choice, so the unchecked kernel serves."""
+    return np.minimum(np.maximum(cloners._acm_boundary_s2(s1, branch), 0.0), 1.0)
 
 
 def _clone_matrix(args) -> tuple[np.ndarray, np.ndarray]:
@@ -267,16 +285,18 @@ def _cmd_fig1(args) -> tuple:
 def _cmd_fig2(args) -> tuple:
     grid = _grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
-    # row i of the n x n sweep takes i // n and i % n, the repeat and tile order
+    # row i of the n x n sweep takes i // n and i % n, the repeat and tile
+    # order, which is the ravel order of the (n, n) broadcast of (s1, s2)
     outer, inner = np.divmod(np.arange(grid.size**2), grid.size)
-    s1, s2 = grid[outer], grid[inner]
+    s1, s2 = grid[:, None], grid
     eof = analysis._family_eof(args.alpha, grid)
     # pairs outside the region take index -1 and get no average
     kept = np.flatnonzero(cloners.acm_region_value(s1, s2) <= cloners.CONSTRAINT_SLACK)
     index = np.full(outer.size, -1)
     index[kept] = np.arange(kept.size)
     values = 0.5 * (eof[outer[kept]] + eof[inner[kept]])
-    columns = [(grid, outer), (grid, inner), (values, index), cloners.acm_degenerate(s1, s2)]
+    degenerate = cloners.acm_degenerate(s1, s2).ravel()
+    columns = [(grid, outer), (grid, inner), (values, index), degenerate]
     return ["s1", "s2", "avg_eof", "degenerate"], columns
 
 
@@ -311,7 +331,9 @@ def _cmd_fig5(args) -> tuple:
     means = analysis.family_mean(np.concatenate((s1, s2, references)), args.quad_tol).value
     n = s1.size
     value, degenerate = 0.5 * (means[:n] + means[n : 2 * n]), cloners.acm_degenerate(s1, s2)
-    columns = [s1, s2, value, np.full(n, means[-2]), np.full(n, means[-1]), degenerate]
+    # the reference means are constant columns: one text each, every row index 0
+    first = np.zeros(n, dtype=int)
+    columns = [s1, s2, value, (means[-2:-1], first), (means[-1:], first), degenerate]
     header = ["s1", "s2", "mean_eof_acm", "mean_eof_wzcm", "mean_eof_scm", "degenerate"]
     return header, columns
 

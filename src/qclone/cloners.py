@@ -154,6 +154,16 @@ def clone(state, machine: str, clones: int | None = None, s: float | None = None
     return s * np.outer(v, v.conj()) + ((1.0 - s) / 4.0) * _IDENTITY4
 
 
+def _acm_boundary_s2(s1, branch: str):
+    """acm_boundary_s2 without its checks, for a float array ``s1`` already
+    in [0, 1] and a ``branch`` from BRANCHES; 0-d in, numpy scalar out."""
+    disc = 1.0 + 14.0 * s1 - 15.0 * s1 * s1
+    root = np.sqrt(np.maximum(disc, 0.0))
+    if branch == "upper":
+        return (7.0 * (1.0 - s1) + root) / 8.0
+    return (7.0 * (1.0 - s1) - root) / 8.0
+
+
 def acm_boundary_s2(s1, branch: str = "upper"):
     """s2 on the boundary curve of the allowed region at a given s1.
 
@@ -162,17 +172,14 @@ def acm_boundary_s2(s1, branch: str = "upper"):
     sign.  The upper branch runs from (0, 1) to (1, 0) through (3/5, 3/5).
     A float s1 gives a float; an array gives the array of its s2 values.
     The discriminant (1 - s1)(1 + 15 s1) is >= 0 on [0, 1]; the clamp at 0
-    only absorbs rounding.
+    only absorbs rounding.  This is the branch and range checks followed
+    by :func:`_acm_boundary_s2`, which the figure commands call directly
+    on the grids they build.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     s = np.asarray(s1, dtype=float)
     if not _in_unit_interval(s):
         raise ValueError(f"s1 must lie in [0, 1], got {s1!r}")
-    disc = 1.0 + 14.0 * s - 15.0 * s * s
-    root = np.sqrt(np.maximum(disc, 0.0))
-    if branch == "upper":
-        s2 = (7.0 * (1.0 - s) + root) / 8.0
-    else:
-        s2 = (7.0 * (1.0 - s) - root) / 8.0
+    s2 = _acm_boundary_s2(s, branch)
     return float(s2) if s2.ndim == 0 else s2

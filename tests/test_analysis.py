@@ -565,10 +565,13 @@ def test_fig5_means_equal_one_family_mean_call_per_shrink(branch, points):
 
 def test_mean_sweep_checks_the_region_over_the_whole_grid(monkeypatch):
     # boundary s2 always lies in the region; a broken boundary must not
-    # slip through the array pass
-    def broken(s1, branch):
-        return np.where((s1 > 0.85) & (s1 < 0.95), 0.9, acm_boundary_s2(s1, branch))
+    # slip through the array pass.  The figures call the unchecked kernel,
+    # so the broken one is built from the kernel it replaces
+    kernel = qclone.cloners._acm_boundary_s2
 
-    monkeypatch.setattr(qclone.cloners, "acm_boundary_s2", broken)
+    def broken(s1, branch):
+        return np.where((s1 > 0.85) & (s1 < 0.95), 0.9, kernel(s1, branch))
+
+    monkeypatch.setattr(qclone.cloners, "_acm_boundary_s2", broken)
     with pytest.raises(ConstraintViolatedError, match=r"\(s1, s2\) = \(0\.9\d*, 0\.9\)"):
         main(["fig5", "--grid-points", "11"])

@@ -37,6 +37,7 @@ from qclone.cloners import (
     CONSTRAINT_SLACK,
     ShrinkParams,
     acm_boundary_s2,
+    acm_degenerate,
     acm_region_value,
     clone,
     family_shrink,
@@ -462,6 +463,67 @@ def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, 
     )
     assert "".join(chunks) == want
     assert formatted == values.tolist()
+
+
+def test_each_figure_value_is_formatted_once(capsys, monkeypatch):
+    # the value lists that reach the formatter, one per call
+    calls = []
+    texts = qclone.cli._texts
+
+    def spy(values):
+        calls.append(values.tolist())
+        return texts(values)
+
+    monkeypatch.setattr(qclone.cli, "_texts", spy)
+    grid = np.linspace(0.0, 1.0, 11)
+    # fig2: the grid once for both of its columns, then the in-region averages
+    rc, out, _ = run_cli(capsys, ["fig2", "--grid-points", "11"])
+    assert rc == 0
+    outer, inner = np.divmod(np.arange(121), 11)
+    inside = acm_region_value(grid[outer], grid[inner]) <= CONSTRAINT_SLACK
+    eof = family_eof(qclone.cli._SINGLET_ALPHA, grid)
+    assert calls == [grid.tolist(), (0.5 * (eof[outer] + eof[inner]))[inside].tolist()]
+    assert sum(row[2] != "outside_region" for row in parse_csv(out)[2]) == inside.sum()
+    # fig4: the grid once for its alpha and s1 columns, then the boundary s2
+    calls.clear()
+    rc, _, _ = run_cli(capsys, ["fig4", "--grid-points", "11"])
+    assert rc == 0
+    s2 = np.clip(acm_boundary_s2(grid, "upper"), 0.0, 1.0)
+    assert calls == [grid.tolist(), s2.tolist()]
+    # fig5: each reference mean once, printed on every row
+    calls.clear()
+    rc, out, _ = run_cli(capsys, ["fig5", "--grid-points", "5"])
+    assert rc == 0
+    wz, sc = mean_entanglement("wzcm").value, mean_entanglement("scm").value
+    assert calls == [[wz], [sc]]
+    rows = parse_csv(out)[2]
+    assert [(row[3], row[4]) for row in rows] == [("%.9g" % wz, "%.9g" % sc)] * 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 14, 41, 201])
+def test_fig2_broadcast_flags_match_the_gathered_sweep(n):
+    # the (n, n) broadcast of (s1, s2), raveled, against the n^2-long
+    # gathered copies in the repeat and tile order, bit for bit
+    args = qclone.cli._parse(["fig2", "--alpha", "0.8", "--grid-points", str(n)])
+    _, columns = args.table(args)
+    grid = np.linspace(0.0, 1.0, n)
+    outer, inner = np.divmod(np.arange(n * n), n)
+    s1, s2 = grid[outer], grid[inner]
+    inside = acm_region_value(s1, s2) <= CONSTRAINT_SLACK
+    eof = family_eof(0.8, grid)
+    values, index = columns[2]
+    assert (index >= 0).tolist() == inside.tolist()
+    assert index[inside].tolist() == list(range(inside.sum()))
+    want = 0.5 * (eof[outer] + eof[inner])
+    assert values.view(np.int64).tolist() == want[inside].view(np.int64).tolist()
+    assert columns[3].tolist() == acm_degenerate(s1, s2).tolist()
+    assert [c[1].tolist() for c in columns[:2]] == [outer.tolist(), inner.tolist()]
+
+
+def test_grid_is_linspace_bit_for_bit():
+    for n in range(2, GRID_POINTS_MAX + 1):
+        got = qclone.cli._grid(n)
+        assert got.view(np.int64).tolist() == np.linspace(0.0, 1.0, n).view(np.int64).tolist(), n
 
 
 def test_failures_write_nothing_to_the_output_file(capsys, tmp_path, monkeypatch):

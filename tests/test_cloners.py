@@ -272,6 +272,27 @@ def test_boundary_rejects_bad_inputs():
         acm_boundary_s2(1.3, "upper")
 
 
+def test_boundary_checks_then_calls_the_unchecked_kernel():
+    # the figures call the kernel on their own grids; the public function
+    # keeps its messages, its float for a float and the kernel's bits
+    branches = r"^branch must be one of \('upper', 'lower'\), got 'middle'$"
+    with pytest.raises(ValueError, match=branches):
+        acm_boundary_s2(0.5, "middle")
+    with pytest.raises(ValueError, match=r"^s1 must lie in \[0, 1\], got 1\.3$"):
+        acm_boundary_s2(1.3, "upper")
+    with pytest.raises(ValueError, match=r"^s1 must lie in \[0, 1\], got nan$"):
+        acm_boundary_s2(float("nan"), "lower")
+    for s1 in (0.0, 0.3, 0.75, 1.0):
+        for branch in ("upper", "lower"):
+            got = acm_boundary_s2(s1, branch)
+            assert type(got) is float
+            assert got == float(qclone.cloners._acm_boundary_s2(np.float64(s1), branch))
+    s1 = np.linspace(0.0, 1.0, 201)
+    for branch in ("upper", "lower"):
+        want = qclone.cloners._acm_boundary_s2(s1, branch)
+        assert acm_boundary_s2(s1, branch).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_wzcm_rejects_unnormalized_state():
     with pytest.raises(ValueError):
         clone(np.array([1.0, 1.0, 0.0, 0.0]), "wzcm")
