@@ -41,8 +41,6 @@ GL_ORDER = 16
 #: integral, as the binary entropy in E carries absolute errors up to
 #: ~eps log2(1/eps) where C is small.
 GL_ROUNDOFF = 1e-13
-#: default number of grid points for figure sweeps.
-GRID_POINTS_DEFAULT = 201
 
 
 class QuadratureConvergenceError(RuntimeError):

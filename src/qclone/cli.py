@@ -17,6 +17,12 @@ and each values array is formatted once per command however many columns
 and rows share it: the grid of fig2 and fig4, fig4's boundary s2, fig5's
 two constant reference means.
 
+Each input that several commands share is built in one place: _grid the
+grid of --grid-points, _rows the n x n row layout of fig2, fig4 and
+clone's 4x4 matrix, _sweep the boundary s2 and degenerate flags of fig3,
+fig4 and fig5, and _REFERENCE_SHRINKS the wzcm and two-copy scm shrinks
+of fig1 and fig5.
+
 Every command and flag is declared once, in the table _COMMANDS, and
 _parse reads every command line, and -h lists every flag, from it.
 
@@ -58,6 +64,8 @@ from . import analysis, cloners, entanglement, qmath, states
 PROG = "qclone"
 
 _SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
+#: default number of grid points for figure sweeps.
+GRID_POINTS_DEFAULT = 201
 #: largest accepted --grid-points: fig2 and fig4 write n^2 rows, and at
 #: 1001 (a million rows, 31 MB of CSV for fig2) an in-process run to a
 #: file took 0.40-0.61 s for fig2 (alpha 1/sqrt(2) and 0.9) and 0.54-0.63 s
@@ -78,15 +86,16 @@ def _texts(values: np.ndarray) -> list[str]:
 
 def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
     """The CSV of a table of columns in blocks of up to BLOCK_ROWS rows,
-    the comment and header lines in front of the first block (alone for
-    a table of no rows).  Each block is formatted by one % over a row
+    the comment and header lines in front of the first block.  Every
+    table has a row: a grid has at least 2 points, and clone, entangle
+    and mean are fixed-size.  Each block is formatted by one % over a row
     template: %.9g for float columns, %d for int columns, true/false for
     bool columns.  A column is a numpy array, or a pair (values, index)
     standing for values[index]: each distinct values array is formatted
     once per call, however many columns share it, each row takes its text
     by index, and index -1 prints outside_region, so a cell with no value
-    is never formatted.  The repeat and tile layout of a 2-D sweep gives
-    (grid, index) pairs, both over one grid; fig2's avg_eof is (in-region
+    is never formatted.  The _rows layout of a 2-D sweep gives (grid,
+    index) pairs, both over one grid; fig2's avg_eof is (in-region
     averages, index) with -1 at each pair outside the acm region; fig5's
     reference columns are (one mean, zeros).
     """
@@ -123,8 +132,6 @@ def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
                 cells[j::k] = table[index[lo : lo + m]].tolist()
         yield head + row * m % tuple(cells)
         head = ""
-    if not n:
-        yield head
 
 
 class _UsageError(Exception):
@@ -160,9 +167,6 @@ class _FileSink:
             n = os.write(self.fd, data)
             self.end += n
             data = data[n:]
-
-    def flush(self) -> None:
-        """Nothing is buffered, and nothing is fsynced."""
 
     def close(self) -> None:
         """Cut a regular file at ``end``, written or not, so it never holds
@@ -209,13 +213,23 @@ def _grid(n: int) -> np.ndarray:
     return grid
 
 
-def _boundary(s1: np.ndarray, branch: str) -> np.ndarray:
-    """s2 on ``branch`` of the region boundary, clipped to [0, 1].  The
-    lower branch drops below s2 = 0 for s1 > 3/4 (to -0.0667), and the
+def _rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two indices of the n x n row layout: row i takes i // n and
+    i % n, the ravel order of the (n, n) broadcast of (x[:, None], y)."""
+    return np.divmod(np.arange(n * n), n)
+
+
+def _sweep(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The s1 grid of --grid-points (checked first), s2 on --branch of the
+    region boundary, clipped to [0, 1], and each pair's degenerate flag.
+    The lower branch drops below s2 = 0 for s1 > 3/4 (to -0.0667), and the
     clip moves those points to the edge s2 = 0: 49 of the 201 default s1
-    points.  At 1 the clip only absorbs rounding.  ``s1`` is a grid and
-    ``branch`` a parsed choice, so the unchecked kernel serves."""
-    return np.minimum(np.maximum(cloners._acm_boundary_s2(s1, branch), 0.0), 1.0)
+    points.  At 1 the clip only absorbs rounding.  The grid lies in [0, 1]
+    and --branch is a parsed choice, so the unchecked kernel serves, and
+    nothing after the grid check can fail."""
+    s1 = _grid(args.grid_points)
+    s2 = np.minimum(np.maximum(cloners._acm_boundary_s2(s1, args.branch), 0.0), 1.0)
+    return s1, s2, cloners.acm_degenerate(s1, s2)
 
 
 def _clone_matrix(args) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +251,7 @@ def _clone_matrix(args) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_clone(args) -> tuple:
     _, rho = _clone_matrix(args)
-    index = np.arange(4)
-    columns = [np.repeat(index, 4), np.tile(index, 4), rho.real.ravel(), rho.imag.ravel()]
-    return ["row", "col", "re", "im"], columns
+    return ["row", "col", "re", "im"], [*_rows(4), rho.real.ravel(), rho.imag.ravel()]
 
 
 def _cmd_entangle(args) -> tuple:
@@ -275,19 +287,20 @@ def _cmd_mean(args) -> tuple:
     return ["value", "abs_error_estimate", "evaluations"], [np.array([x]) for x in row]
 
 
+#: the shrinks of fig1's and fig5's reference machines: wzcm, two-copy scm.
+_REFERENCE_SHRINKS = np.array((cloners.family_shrink("wzcm"), cloners.family_shrink("scm")))
+
+
 def _cmd_fig1(args) -> tuple:
     grid = _grid(args.grid_points)
-    shrinks = [[cloners.family_shrink("wzcm")], [cloners.family_shrink("scm")]]
-    wz, sc = analysis._family_eof(grid, np.array(shrinks))
+    wz, sc = analysis._family_eof(grid, _REFERENCE_SHRINKS[:, None])
     return ["alpha", "eof_wzcm", "eof_scm"], [grid, wz, sc]
 
 
 def _cmd_fig2(args) -> tuple:
     grid = _grid(args.grid_points)
     _check_unit("--alpha", args.alpha)
-    # row i of the n x n sweep takes i // n and i % n, the repeat and tile
-    # order, which is the ravel order of the (n, n) broadcast of (s1, s2)
-    outer, inner = np.divmod(np.arange(grid.size**2), grid.size)
+    outer, inner = _rows(grid.size)
     s1, s2 = grid[:, None], grid
     eof = analysis._family_eof(args.alpha, grid)
     # pairs outside the region take index -1 and get no average
@@ -301,36 +314,29 @@ def _cmd_fig2(args) -> tuple:
 
 
 def _cmd_fig3(args) -> tuple:
-    grid = _grid(args.grid_points)
+    s1, s2, degenerate = _sweep(args)
     _check_unit("--alpha", args.alpha)
-    s2 = _boundary(grid, args.branch)
-    eof = analysis._family_eof(args.alpha, np.array((grid, s2)))
-    columns = [grid, s2, 0.5 * (eof[0] + eof[1]), cloners.acm_degenerate(grid, s2)]
-    return ["s1", "s2", "avg_eof", "degenerate"], columns
+    eof = analysis._family_eof(args.alpha, np.array((s1, s2)))
+    return ["s1", "s2", "avg_eof", "degenerate"], [s1, s2, 0.5 * (eof[0] + eof[1]), degenerate]
 
 
 def _cmd_fig4(args) -> tuple:
-    grid = _grid(args.grid_points)
-    s2 = _boundary(grid, args.branch)
+    grid, s2, degenerate = _sweep(args)
     eof = analysis._family_eof(grid[:, None], np.array((grid, s2))[:, None, :])
     values = (0.5 * (eof[0] + eof[1])).ravel()
-    # row i of the n x n sweep takes i // n and i % n, the repeat and tile order
-    outer, inner = np.divmod(np.arange(grid.size**2), grid.size)
-    degenerate = cloners.acm_degenerate(grid, s2)[inner]
-    columns = [(grid, outer), (grid, inner), (s2, inner), values, degenerate]
+    outer, inner = _rows(grid.size)
+    columns = [(grid, outer), (grid, inner), (s2, inner), values, degenerate[inner]]
     return ["alpha", "s1", "s2", "avg_eof", "degenerate"], columns
 
 
 def _cmd_fig5(args) -> tuple:
-    s1 = _grid(args.grid_points)
+    s1, s2, degenerate = _sweep(args)
     _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
-    s2 = _boundary(s1, args.branch)
     analysis._require_region(s1, s2)
-    # one quadrature pass: both copies of every pair, then the wzcm and scm shrinks
-    references = (cloners.family_shrink("wzcm"), cloners.family_shrink("scm"))
-    means = analysis.family_mean(np.concatenate((s1, s2, references)), args.quad_tol).value
+    # one quadrature pass: both copies of every pair, then the reference shrinks
+    means = analysis.family_mean(np.concatenate((s1, s2, _REFERENCE_SHRINKS)), args.quad_tol).value
     n = s1.size
-    value, degenerate = 0.5 * (means[:n] + means[n : 2 * n]), cloners.acm_degenerate(s1, s2)
+    value = 0.5 * (means[:n] + means[n : 2 * n])
     # the reference means are constant columns: one text each, every row index 0
     first = np.zeros(n, dtype=int)
     columns = [s1, s2, value, (means[-2:-1], first), (means[-1:], first), degenerate]
@@ -341,7 +347,7 @@ def _cmd_fig5(args) -> tuple:
 #: the default of a flag that a command requires.
 _REQUIRED = object()
 # a flag is (option, type or choices, default); each shared one is written once
-_GRID_POINTS = ("--grid-points", int, analysis.GRID_POINTS_DEFAULT)
+_GRID_POINTS = ("--grid-points", int, GRID_POINTS_DEFAULT)
 _BRANCH = ("--branch", cloners.BRANCHES, "upper")
 _QUAD_TOL = ("--quad-tol", float, analysis.QUAD_DEFAULT_TOL)
 _FIGURE_ALPHA = ("--alpha", float, _SINGLET_ALPHA)
@@ -500,7 +506,8 @@ def main(argv=None) -> int:
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             for chunk in chunks:
                 output.write(chunk)
-            output.flush()
+            if output is sys.stdout:
+                output.flush()
         finally:
             if output is not sys.stdout:
                 output.close()

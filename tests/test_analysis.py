@@ -494,6 +494,34 @@ def test_family_mean_matches_the_angle_variable_route():
     assert res.evaluations == want.evaluations == 48 * shrinks.size
 
 
+#: the bound the family_mean estimate must stay below: at GL_ORDER 16 the
+#: largest estimate on CERTIFIED_SHRINKS is 9.77e-13 (4.33e-12 at 14,
+#: 2.61e-11 at 12), about half the bound, and far inside QUAD_MIN_TOL.
+ESTIMATE_BOUND = 2e-12
+#: 20001 even shrinks, 500 from just below to just above the threshold
+#: 1/3, and 500 in the last 1e-6 before 1.
+CERTIFIED_SHRINKS = np.concatenate((
+    np.linspace(0.0, 1.0, 20001),
+    np.linspace(1 / 3 - 1e-9, 1 / 3 + 1e-6, 500),
+    np.linspace(1.0 - 1e-6, 1.0, 500),
+))
+
+
+def largest_estimate() -> float:
+    return float(family_mean(CERTIFIED_SHRINKS).abs_error_estimate.max())
+
+
+def test_family_mean_estimate_stays_below_a_fixed_bound():
+    assert largest_estimate() < ESTIMATE_BOUND
+
+
+@pytest.mark.parametrize("order", [12, 14])
+def test_the_estimate_bound_fails_at_a_lower_order(monkeypatch, order):
+    # the bound is tight enough to tell GL_ORDER 16 from the orders below it
+    monkeypatch.setattr(qclone.analysis, "GL_ORDER", order)
+    assert largest_estimate() >= ESTIMATE_BOUND
+
+
 #: the shrinks where c0 = max(0, 1.5 s - 0.5) and T = sqrt(c0/s) start.
 EDGE_SHRINKS = [0.0, 1 / 3, math.nextafter(1 / 3, 1.0), 1 / 3 + 1e-15, 1.0]
 

@@ -689,11 +689,40 @@ def test_file_output_takes_one_write_per_block(
     assert path.read_bytes() == want
 
 
-def test_a_table_of_no_rows_renders_its_comment_and_header_lines():
-    empty = np.zeros(0)
-    columns = [empty, (empty, np.zeros(0, dtype=int)), empty > 0]
-    chunks = list(qclone.cli._render("t", [("k", 0.5)], ["a", "b", "c"], columns))
-    assert chunks == ["# command: t\n# k: 0.5\na,b,c\n"]
+#: each command at its smallest table: the figures at 2 grid points, the
+#: rest with one machine.
+SMALLEST_TABLES = [
+    ["fig1", "--grid-points", "2"],
+    ["fig2", "--grid-points", "2"],
+    ["fig3", "--grid-points", "2"],
+    ["fig4", "--grid-points", "2"],
+    ["fig5", "--grid-points", "2"],
+    ["clone", "--machine", "wzcm", "--alpha", "0.6"],
+    ["entangle", "--machine", "wzcm", "--alpha", "0.6"],
+    ["mean", "--machine", "wzcm"],
+]
+
+
+@pytest.mark.parametrize("argv", SMALLEST_TABLES, ids=lambda argv: argv[0])
+def test_the_first_chunk_of_every_command_holds_a_data_row(capsys, monkeypatch, argv):
+    # _render has no form for a table of no rows: every command's smallest
+    # table puts its comment lines, its header and a data row in one chunk
+    assert sorted(table[0] for table in SMALLEST_TABLES) == sorted(qclone.cli._COMMANDS)
+    render, chunks = qclone.cli._render, []
+
+    def spy(*args):
+        for chunk in render(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(qclone.cli, "_render", spy)
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "") and "".join(chunks) == out
+    lines = chunks[0].splitlines()
+    comments = [line for line in out.splitlines() if line.startswith("#")]
+    assert lines[0] == f"# command: {argv[0]}" and lines[: len(comments)] == comments
+    header, *rows = lines[len(comments) :]
+    assert rows and all(row.count(",") == header.count(",") for row in rows)
 
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory"])

@@ -29,12 +29,15 @@ STORE_CSV_MAX_BYTES = 2048
 def golden_argvs() -> list[list[str]]:
     """The command lines the manifest pins."""
     singlet = 1.0 / math.sqrt(2.0)
-    cases = [["fig1"], ["fig2"], ["fig1", "--grid-points", "11"]]
+    # fig2 and fig4 at the largest grid write a million rows each
+    cases = [["fig1"], ["fig2"], ["fig1", "--grid-points", "11"], ["fig2", "--grid-points", "1001"]]
     for branch in ("upper", "lower"):
         cases += [
             ["fig3", "--branch", branch],
             ["fig4", "--branch", branch],
             ["fig5", "--branch", branch],
+            ["fig3", "--branch", branch, "--grid-points", "1001"],
+            ["fig4", "--branch", branch, "--grid-points", "1001"],
             # fig5's one quadrature pass at the largest grid
             ["fig5", "--branch", branch, "--grid-points", "1001"],
         ]
