@@ -26,16 +26,18 @@ of fig1 and fig5.
 Every command and flag is declared once, in the table _COMMANDS, and
 _parse reads every command line, and -h lists every flag, from it.
 
-The CSV goes to sys.stdout, a text stream that callers may replace, or
-with --output PATH to the file as ASCII bytes: one os.write per block on
-its descriptor (more only after a short write), with no stream or buffer
-in between.  --output rewrites the file in place: an existing file keeps
-its inode and its mode, so hard links and symlinks to it see the new CSV;
-a new one gets 0o666 less the umask.  The CSV is written over the old
-bytes from the start and the file is then cut to the new length, so a
-failed write leaves a prefix of the new CSV, never new bytes followed by
-old ones.  The rewrite is not atomic and nothing is fsynced; to replace a
-file atomically, write to a new path and rename it over the old one.
+The CSV is formatted as ASCII bytes, one bytes % per block.  sys.stdout,
+a text stream that callers may replace, receives their decoded text;
+with --output PATH the bytes go to the file as they are: one os.write
+per block on its descriptor (more only after a short write), with no
+encode, stream or buffer in between.  --output rewrites the file in
+place: an existing file keeps its inode and its mode, so hard links and
+symlinks to it see the new CSV; a new one gets 0o666 less the umask.
+The CSV is written over the old bytes from the start and the file is
+then cut to the new length, so a failed write leaves a prefix of the new
+CSV, never new bytes followed by old ones.  The rewrite is not atomic
+and nothing is fsynced; to replace a file atomically, write to a new path
+and rename it over the old one.
 
 Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
 concurrence SVD fails to converge (the diagnostic names it) and when
@@ -68,57 +70,57 @@ _SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
 GRID_POINTS_DEFAULT = 201
 #: largest accepted --grid-points: fig2 and fig4 write n^2 rows, and at
 #: 1001 (a million rows, 31 MB of CSV for fig2) an in-process run to a
-#: file took 0.40-0.61 s for fig2 (alpha 1/sqrt(2) and 0.9) and 0.54-0.63 s
-#: for fig4 (both branches; 18 runs each, shared 2-vCPU Xeon host).
+#: file took 0.32-0.38 s for fig2 (alpha 1/sqrt(2) and 0.9) and 0.44-0.50 s
+#: for fig4 (both branches; best of 5, twice each, shared 2-vCPU Xeon host).
 GRID_POINTS_MAX = 1001
 #: rows formatted and written at a time.
 BLOCK_ROWS = 4096
 #: row-template field per dtype kind of a numpy column.
-_SPECS = {"f": "%.9g", "i": "%d"}
-#: CSV words of False and True; object dtype, so indexing yields str.
-_BOOL_WORDS = np.array(["false", "true"], dtype=object)
+_SPECS = {"f": b"%.9g", "i": b"%d"}
+#: CSV words of False and True; object dtype, so indexing yields bytes.
+_BOOL_WORDS = np.array([b"false", b"true"], dtype=object)
 
 
-def _texts(values: np.ndarray) -> list[str]:
+def _texts(values: np.ndarray) -> list[bytes]:
     """Each value formatted by the float spec, in one % over a joined template."""
-    return ((_SPECS["f"] + "\n") * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    return ((_SPECS["f"] + b"\n") * len(values) % tuple(values.tolist())).split(b"\n")[:-1]
 
 
-def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
-    """The CSV of a table of columns in blocks of up to BLOCK_ROWS rows,
-    the comment and header lines in front of the first block.  Every
-    table has a row: a grid has at least 2 points, and clone, entangle
-    and mean are fixed-size.  Each block is formatted by one % over a row
-    template: %.9g for float columns, %d for int columns, true/false for
-    bool columns.  A column is a numpy array, or a pair (values, index)
-    standing for values[index]: each distinct values array is formatted
-    once per call, however many columns share it, each row takes its text
-    by index, and index -1 prints outside_region, so a cell with no value
-    is never formatted.  The _rows layout of a 2-D sweep gives (grid,
-    index) pairs, both over one grid; fig2's avg_eof is (in-region
-    averages, index) with -1 at each pair outside the acm region; fig5's
-    reference columns are (one mean, zeros).
+def _render(command: str, config, header: list[str], columns) -> Iterator[bytes]:
+    """The CSV of a table of columns as ASCII bytes, in blocks of up to
+    BLOCK_ROWS rows, the comment and header lines, encoded once, in front
+    of the first block.  Every table has a row: a grid has at least 2
+    points, and clone, entangle and mean are fixed-size.  Each block is
+    formatted by one bytes % over a row template: %.9g for float columns,
+    %d for int columns, true/false for bool columns.  A column is a numpy
+    array, or a pair (values, index) standing for values[index]: each
+    distinct values array is formatted once per call, however many columns
+    share it, each row takes its text by index, and index -1 prints
+    outside_region, so a cell with no value is never formatted.  The _rows
+    layout of a 2-D sweep gives (grid, index) pairs, both over one grid;
+    fig2's avg_eof is (in-region averages, index) with -1 at each pair
+    outside the acm region; fig5's reference columns are (one mean, zeros).
     """
     lines = [f"# command: {command}"]
     for key, value in config:
         lines.append(f"# {key}: {value!r}" if isinstance(value, float) else f"# {key}: {value}")
     lines.append(",".join(header))
-    head = "\n".join(lines) + "\n"
+    head = ("\n".join(lines) + "\n").encode("ascii")
     # bool and (values, index) columns become (table of texts, index); a
     # values array that several columns share is formatted once
     tables = {}
     for c in columns:
         if isinstance(c, tuple) and id(c[0]) not in tables:
-            tables[id(c[0])] = np.array(_texts(c[0]) + ["outside_region"], dtype=object)
+            tables[id(c[0])] = np.array(_texts(c[0]) + [b"outside_region"], dtype=object)
     coded = [
         (tables[id(c[0])], c[1])
         if isinstance(c, tuple)
         else (_BOOL_WORDS, c.astype(int)) if c.dtype.kind == "b" else None
         for c in columns
     ]
-    row = ",".join(
-        "%s" if code is not None else _SPECS[c.dtype.kind] for c, code in zip(columns, coded)
-    ) + "\n"
+    row = b",".join(
+        b"%s" if code is not None else _SPECS[c.dtype.kind] for c, code in zip(columns, coded)
+    ) + b"\n"
     k = len(columns)
     n = len(coded[0][1]) if coded[0] is not None else len(columns[0])
     for lo in range(0, n, BLOCK_ROWS):
@@ -131,7 +133,7 @@ def _render(command: str, config, header: list[str], columns) -> Iterator[str]:
                 table, index = code
                 cells[j::k] = table[index[lo : lo + m]].tolist()
         yield head + row * m % tuple(cells)
-        head = ""
+        head = b""
 
 
 class _UsageError(Exception):
@@ -153,16 +155,15 @@ def _open_output(path: str | None):
 
 
 class _FileSink:
-    """Text written as ASCII bytes over the descriptor ``fd`` from its
-    start: one os.write per write, then more only for what a short write
-    left.  ``end`` counts the bytes os.write reports written."""
+    """Bytes written over the descriptor ``fd`` from its start, each block
+    as it comes: one os.write per write, then more only for what a short
+    write left.  ``end`` counts the bytes os.write reports written."""
 
     def __init__(self, fd: int) -> None:
         self.fd = fd
         self.end = 0
 
-    def write(self, text: str) -> None:
-        data = text.encode("ascii")
+    def write(self, data: bytes) -> None:
         while data:
             n = os.write(self.fd, data)
             self.end += n
@@ -504,10 +505,13 @@ def main(argv=None) -> int:
         try:
             if output is None:  # sys.stdout of a process started with descriptor 1 closed
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            for chunk in chunks:
-                output.write(chunk)
             if output is sys.stdout:
+                for chunk in chunks:
+                    output.write(chunk.decode("ascii"))
                 output.flush()
+            else:
+                for chunk in chunks:
+                    output.write(chunk)
         finally:
             if output is not sys.stdout:
                 output.close()

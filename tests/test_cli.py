@@ -405,13 +405,29 @@ def test_output_flag_writes_identical_bytes(capsys, tmp_path):
     assert first.endswith(b"\n") and b"\r" not in first
 
 
-def test_stdout_and_file_output_agree(capsys, tmp_path):
+#: each command at its smallest table: the figures at 2 grid points, the
+#: rest with one machine.
+SMALLEST_TABLES = [
+    ["fig1", "--grid-points", "2"],
+    ["fig2", "--grid-points", "2"],
+    ["fig3", "--grid-points", "2"],
+    ["fig4", "--grid-points", "2"],
+    ["fig5", "--grid-points", "2"],
+    ["clone", "--machine", "wzcm", "--alpha", "0.6"],
+    ["entangle", "--machine", "wzcm", "--alpha", "0.6"],
+    ["mean", "--machine", "wzcm"],
+]
+
+
+@pytest.mark.parametrize("argv", SMALLEST_TABLES, ids=lambda argv: argv[0])
+def test_stdout_and_file_output_agree(capsys, tmp_path, argv):
+    # the bytes --output writes are stdout's text, encoded as ASCII
     path = tmp_path / "out.csv"
-    rc, out, _ = run_cli(capsys, ["fig1", "--grid-points", "7", "--output", str(path)])
+    rc, out, _ = run_cli(capsys, [*argv, "--output", str(path)])
     assert rc == 0 and out == ""
-    rc, out, _ = run_cli(capsys, ["fig1", "--grid-points", "7"])
+    rc, out, _ = run_cli(capsys, argv)
     assert rc == 0
-    assert path.read_text() == out
+    assert path.read_bytes() == out.encode("ascii")
 
 
 def test_block_boundaries_leave_the_bytes_unchanged(capsys, monkeypatch):
@@ -461,8 +477,101 @@ def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, 
         % (j, "outside_region" if m else "%.9g" % next(held), "true" if j % 2 == 0 else "false")
         for j, m in zip(i.tolist(), mask.tolist())
     )
-    assert "".join(chunks) == want
+    assert b"".join(chunks) == want.encode("ascii")
     assert formatted == values.tolist()
+
+
+def str_render(command, config, header, columns, block_rows):
+    """The CSV renderer as it was before it formatted bytes: the same
+    coded columns and one % per block, into str.  Kept as the reference
+    that every chunk of qclone.cli._render must equal, encoded as ASCII."""
+    specs = {"f": "%.9g", "i": "%d"}
+    words = np.array(["false", "true"], dtype=object)
+
+    def texts(values):
+        return ((specs["f"] + "\n") * len(values) % tuple(values.tolist())).split("\n")[:-1]
+
+    lines = [f"# command: {command}"]
+    for key, value in config:
+        lines.append(f"# {key}: {value!r}" if isinstance(value, float) else f"# {key}: {value}")
+    lines.append(",".join(header))
+    head = "\n".join(lines) + "\n"
+    tables = {}
+    for c in columns:
+        if isinstance(c, tuple) and id(c[0]) not in tables:
+            tables[id(c[0])] = np.array(texts(c[0]) + ["outside_region"], dtype=object)
+    coded = [
+        (tables[id(c[0])], c[1])
+        if isinstance(c, tuple)
+        else (words, c.astype(int)) if c.dtype.kind == "b" else None
+        for c in columns
+    ]
+    row = ",".join(
+        "%s" if code is not None else specs[c.dtype.kind] for c, code in zip(columns, coded)
+    ) + "\n"
+    k = len(columns)
+    n = len(coded[0][1]) if coded[0] is not None else len(columns[0])
+    for lo in range(0, n, block_rows):
+        m = min(block_rows, n - lo)
+        cells = [None] * (m * k)
+        for j, (col, code) in enumerate(zip(columns, coded)):
+            if code is None:
+                cells[j::k] = col[lo : lo + m].tolist()
+            else:
+                table, index = code
+                cells[j::k] = table[index[lo : lo + m]].tolist()
+        yield head + row * m % tuple(cells)
+        head = ""
+
+
+#: floats whose 9-digit texts take every form %.9g has: signed zeros,
+#: exponents below 1e-4 and at 1e9 or more, subnormals, the largest and
+#: smallest doubles, values next to a 9-digit tie, and NaN and infinities.
+SPECIAL_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, 0.5, 0.1 + 0.2, 1 / 3, 2 / 3,
+    1e-4, 9.99999999e-5, 9.999999995e-5, 1.5e-5, -3e-7, 1e-300,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+    1.7976931348623157e308, 999999999.0, 999999999.5, 1e9, -123456789012.0,
+    0.1234567895, 0.1234567885, 1.0000000005, 0.9999999995,
+    math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bytes_render_equals_the_str_route(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(2, 60))
+    special = np.array(SPECIAL_FLOATS)
+    # each float column mixes the special values with seeded draws that
+    # span every binary exponent, subnormals included
+    drawn = rng.random(rows) * 2.0 ** rng.integers(-1074, 1024, rows) * rng.choice((-1, 1), rows)
+
+    def floats():
+        return np.where(rng.random(rows) < 0.5, rng.choice(special, rows), drawn[rng.permutation(rows)])
+
+    shared = np.concatenate((special, drawn))
+    held = floats()
+    index = np.arange(rows)
+    index[rng.random(rows) < 0.4] = -1
+    columns = [
+        floats(),
+        rng.integers(-(10**15), 10**15, rows),
+        rng.integers(0, 2, rows).astype(bool),
+        (held, index),
+        # two columns over one values array, as the 2-D sweeps give
+        (shared, rng.integers(-1, shared.size, rows)),
+        (shared, rng.integers(0, shared.size, rows)),
+        # one constant value on every row, as fig5's reference means
+        (shared[:1], np.zeros(rows, dtype=int)),
+        np.arange(rows),
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    config = [("alpha", 0.1 + 0.2), ("branch", "lower"), ("grid_points", rows), ("tol", -0.0)]
+    for block_rows in (1, 3, rows - 1, rows, 4096):
+        monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", block_rows)
+        got = list(qclone.cli._render("t", config, header, columns))
+        want = [chunk.encode("ascii") for chunk in str_render("t", config, header, columns, block_rows)]
+        assert got == want
 
 
 def test_each_figure_value_is_formatted_once(capsys, monkeypatch):
@@ -689,20 +798,6 @@ def test_file_output_takes_one_write_per_block(
     assert path.read_bytes() == want
 
 
-#: each command at its smallest table: the figures at 2 grid points, the
-#: rest with one machine.
-SMALLEST_TABLES = [
-    ["fig1", "--grid-points", "2"],
-    ["fig2", "--grid-points", "2"],
-    ["fig3", "--grid-points", "2"],
-    ["fig4", "--grid-points", "2"],
-    ["fig5", "--grid-points", "2"],
-    ["clone", "--machine", "wzcm", "--alpha", "0.6"],
-    ["entangle", "--machine", "wzcm", "--alpha", "0.6"],
-    ["mean", "--machine", "wzcm"],
-]
-
-
 @pytest.mark.parametrize("argv", SMALLEST_TABLES, ids=lambda argv: argv[0])
 def test_the_first_chunk_of_every_command_holds_a_data_row(capsys, monkeypatch, argv):
     # _render has no form for a table of no rows: every command's smallest
@@ -717,8 +812,8 @@ def test_the_first_chunk_of_every_command_holds_a_data_row(capsys, monkeypatch, 
 
     monkeypatch.setattr(qclone.cli, "_render", spy)
     rc, out, err = run_cli(capsys, argv)
-    assert (rc, err) == (0, "") and "".join(chunks) == out
-    lines = chunks[0].splitlines()
+    assert (rc, err) == (0, "") and b"".join(chunks) == out.encode("ascii")
+    lines = chunks[0].decode("ascii").splitlines()
     comments = [line for line in out.splitlines() if line.startswith("#")]
     assert lines[0] == f"# command: {argv[0]}" and lines[: len(comments)] == comments
     header, *rows = lines[len(comments) :]
@@ -885,11 +980,9 @@ def drawn_argvs(draw):
 
 
 def plain_argvs():
-    """Command lines of ``--flag value`` pairs: each golden case, each
-    command with all its flags and --output, and floats by repr, as the
-    benchmark passes them."""
-    cases = json.loads(pathlib.Path(__file__).with_name("golden.json").read_text())["cases"]
-    argvs = [case.split(" ") for case in cases]
+    """Command lines of ``--flag value`` pairs: each command with all its
+    flags and --output, and floats by repr, as the benchmark passes them."""
+    argvs = []
     for command, (flags, required) in FLAG_SAMPLES.items():
         argvs.append([command, *required, *(t for p in flags.items() for t in p), "--output", "o"])
     argvs += [
@@ -977,10 +1070,45 @@ def test_each_command_declares_the_pinned_flags(capsys, command):
             assert f"  {option} {{{','.join(kind)}}}" in out
 
 
-#: the outcome of every argv of oracle_argvs() and plain_argvs() ("fixed")
-#: and of 1200 argvs drawn from drawn_argvs() ("drawn"), recorded with the
-#: argparse parser that _parse replaced: the namespace items, values by
-#: repr and without table, or the exit code.
+#: the command lines tests/golden.json pins, each its argv joined by spaces.
+GOLDEN_ARGVS = [
+    case.split(" ")
+    for case in json.loads(pathlib.Path(__file__).with_name("golden.json").read_text())["cases"]
+]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+def test_each_golden_argv_parses_to_the_declared_namespace(argv):
+    # a golden case is a plain line of distinct, whole --flag value pairs,
+    # so its namespace follows from DECLARED alone: the defaults in the
+    # declared order, each given flag read through its type or choices
+    command, tokens = argv[0], argv[1:]
+    given = dict(zip(tokens[::2], tokens[1::2]))
+    assert 2 * len(given) == len(tokens)
+    assert set(given) <= {option for option, _, _ in DECLARED[command]}
+    want = [("command", command), ("output", None)]
+    for option, kind, default in DECLARED[command]:
+        if option not in given:
+            assert default is not REQUIRED, option
+            value = default
+        elif isinstance(kind, tuple):
+            assert given[option] in kind
+            value = given[option]
+        else:
+            value = kind(given[option])
+        want.append((dest(option), value))
+    want.append(("table", getattr(qclone.cli, f"_cmd_{command}")))
+    got = list(vars(qclone.cli._parse(argv)).items())
+    assert got == want
+    assert [type(value) for _, value in got] == [type(value) for _, value in want]
+
+
+#: the outcome of every argv of oracle_argvs() and plain_argvs() and of the
+#: 84 golden cases ("fixed"), and of 1200 argvs drawn from drawn_argvs()
+#: ("drawn"), recorded with the argparse parser that _parse replaced: the
+#: namespace items, values by repr and without table, or the exit code.  A
+#: golden case added later needs no entry: its namespace follows from
+#: DECLARED (test_each_golden_argv_parses_to_the_declared_namespace).
 RECORDED = json.loads(pathlib.Path(__file__).with_name("parse_outcomes.json").read_text())
 #: how often each declared change from argparse shows in each group.
 DECLARED_CHANGES = {
