@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._constants import QUAD_DEFAULT_TOL
 from .cloners import (
     CONSTRAINT_SLACK,
     ConstraintViolatedError,
@@ -28,8 +29,6 @@ from .cloners import (
     family_shrink,
 )
 
-#: default absolute tolerance of the quadratures.
-QUAD_DEFAULT_TOL = 1e-7
 #: tolerances tighter than this are rejected as unreachable in float64.
 QUAD_MIN_TOL = 1e-10
 #: Gauss-Legendre order n of family_mean: it pairs the n- and 2n-point

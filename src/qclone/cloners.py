@@ -20,18 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._constants import BRANCHES, MACHINES
 from .qmath import as_state_vector
 from .states import BELL_MATRIX
-
-#: the machines of the table, in the order the CLI offers them.
-MACHINES = ("wzcm", "scm", "acm")
 
 #: slack accepted when testing the asymmetric-cloner constraint.
 CONSTRAINT_SLACK = 1e-12
 #: |s - endpoint| below which a shrink pair counts as a degenerate endpoint.
 DEGENERACY_TOL = 1e-12
-
-BRANCHES = ("upper", "lower")
 
 _IDENTITY4 = np.eye(4, dtype=np.complex128)
 _BELL_PROJECTORS = tuple(np.outer(b, b.conj()) for b in BELL_MATRIX)

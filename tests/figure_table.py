@@ -2,13 +2,14 @@
 
 import numpy as np
 
+import qclone._commands
 import qclone.cli
 
 
 def figure_table(argv: list[str]):
     """Header, columns and masks that ``qclone.cli.main(argv)`` renders.
 
-    ``qclone.cli._render`` is replaced by a spy for the call, so the
+    ``qclone._commands._render`` is replaced by a spy for the call, so the
     columns keep every bit the command computed: (values, index) pairs
     are decoded to ``values[index]``, with NaN where the index is -1 (a
     cell printed as outside_region), and the masks hold one entry per
@@ -24,10 +25,10 @@ def figure_table(argv: list[str]):
         seen["masks"] = [c[1] < 0 if isinstance(c, tuple) else None for c in columns]
         return iter(())
 
-    render = qclone.cli._render
-    qclone.cli._render = spy
+    render = qclone._commands._render
+    qclone._commands._render = spy
     try:
         assert qclone.cli.main(argv) == 0
     finally:
-        qclone.cli._render = render
+        qclone._commands._render = render
     return seen["header"], seen["columns"], seen["masks"]

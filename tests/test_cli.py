@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qclone._commands
 import qclone.analysis
 import qclone.cli
 import qclone.states
@@ -32,7 +33,8 @@ from qclone.analysis import (
     mean_entanglement,
     mean_entanglement_acm,
 )
-from qclone.cli import GRID_POINTS_MAX, main
+from qclone._constants import GRID_POINTS_MAX
+from qclone.cli import main
 from qclone.cloners import (
     CONSTRAINT_SLACK,
     ShrinkParams,
@@ -112,7 +114,7 @@ def test_round_up_keeps_two_digits_and_never_lowers():
     values = [0.0, 5.3e-13, 1e-13, 9.95e-13, 1.00266822e-13, 5.25659508e-13]
     values += (10.0 ** rng.uniform(-16, 2, 2000)).tolist()
     for x in values:
-        printed = decimal.Decimal("%.9g" % qclone.cli._round_up(x))
+        printed = decimal.Decimal("%.9g" % qclone._commands._round_up(x))
         exact = decimal.Decimal(x)
         assert len(printed.as_tuple().digits) <= 2
         assert exact <= printed
@@ -439,7 +441,7 @@ def test_block_boundaries_leave_the_bytes_unchanged(capsys, monkeypatch):
     )
     whole = [run_cli(capsys, argv)[1] for argv in argvs]
     for rows in (1, 7, 11, 100000):
-        monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(qclone._commands, "BLOCK_ROWS", rows)
         assert [run_cli(capsys, argv)[1] for argv in argvs] == whole
 
 
@@ -448,15 +450,15 @@ def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, 
     # 8 rows in blocks of 3; a (values, index) column holds only the
     # in-region values, index -1 prints outside_region, and only the held
     # values reach the formatter
-    monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(qclone._commands, "BLOCK_ROWS", 3)
     formatted = []
-    texts = qclone.cli._texts
+    texts = qclone._commands._texts
 
     def spy(values):
         formatted.extend(values.tolist())
         return texts(values)
 
-    monkeypatch.setattr(qclone.cli, "_texts", spy)
+    monkeypatch.setattr(qclone._commands, "_texts", spy)
     rows = 8
     mask = {
         "all": np.ones(rows, dtype=bool),
@@ -468,7 +470,7 @@ def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, 
     index[~mask] = np.arange(values.size)
     i = np.arange(rows)
     columns = [i, (values, index), i % 2 == 0]
-    chunks = list(qclone.cli._render("t", [], ["i", "v", "b"], columns))
+    chunks = list(qclone._commands._render("t", [], ["i", "v", "b"], columns))
     # the comment and header lines ride with the first of the 3 blocks
     assert len(chunks) == 3
     held = iter(values.tolist())
@@ -484,7 +486,7 @@ def test_masked_cells_print_outside_region_without_being_formatted(monkeypatch, 
 def str_render(command, config, header, columns, block_rows):
     """The CSV renderer as it was before it formatted bytes: the same
     coded columns and one % per block, into str.  Kept as the reference
-    that every chunk of qclone.cli._render must equal, encoded as ASCII."""
+    that every chunk of qclone._commands._render must equal, encoded as ASCII."""
     specs = {"f": "%.9g", "i": "%d"}
     words = np.array(["false", "true"], dtype=object)
 
@@ -568,8 +570,8 @@ def test_bytes_render_equals_the_str_route(monkeypatch, seed):
     header = [f"c{j}" for j in range(len(columns))]
     config = [("alpha", 0.1 + 0.2), ("branch", "lower"), ("grid_points", rows), ("tol", -0.0)]
     for block_rows in (1, 3, rows - 1, rows, 4096):
-        monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", block_rows)
-        got = list(qclone.cli._render("t", config, header, columns))
+        monkeypatch.setattr(qclone._commands, "BLOCK_ROWS", block_rows)
+        got = list(qclone._commands._render("t", config, header, columns))
         want = [chunk.encode("ascii") for chunk in str_render("t", config, header, columns, block_rows)]
         assert got == want
 
@@ -577,13 +579,13 @@ def test_bytes_render_equals_the_str_route(monkeypatch, seed):
 def test_each_figure_value_is_formatted_once(capsys, monkeypatch):
     # the value lists that reach the formatter, one per call
     calls = []
-    texts = qclone.cli._texts
+    texts = qclone._commands._texts
 
     def spy(values):
         calls.append(values.tolist())
         return texts(values)
 
-    monkeypatch.setattr(qclone.cli, "_texts", spy)
+    monkeypatch.setattr(qclone._commands, "_texts", spy)
     grid = np.linspace(0.0, 1.0, 11)
     # fig2: the grid once for both of its columns, then the in-region averages
     rc, out, _ = run_cli(capsys, ["fig2", "--grid-points", "11"])
@@ -631,7 +633,7 @@ def test_fig2_broadcast_flags_match_the_gathered_sweep(n):
 
 def test_grid_is_linspace_bit_for_bit():
     for n in range(2, GRID_POINTS_MAX + 1):
-        got = qclone.cli._grid(n)
+        got = qclone._commands._grid(n)
         assert got.view(np.int64).tolist() == np.linspace(0.0, 1.0, n).view(np.int64).tolist(), n
 
 
@@ -719,7 +721,7 @@ def test_failed_rewrite_leaves_a_prefix_of_the_new_csv(capsys, tmp_path, monkeyp
     argv = ["fig1", "--grid-points", "11"]
     rc, full, _ = run_cli(capsys, argv)
     assert rc == 0
-    render = qclone.cli._render
+    render = qclone._commands._render
 
     def two_chunks_then_a_full_disk(*args, **kwargs):
         chunks = render(*args, **kwargs)
@@ -727,8 +729,8 @@ def test_failed_rewrite_leaves_a_prefix_of_the_new_csv(capsys, tmp_path, monkeyp
         yield next(chunks)
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", 1)
-    monkeypatch.setattr(qclone.cli, "_render", two_chunks_then_a_full_disk)
+    monkeypatch.setattr(qclone._commands, "BLOCK_ROWS", 1)
+    monkeypatch.setattr(qclone._commands, "_render", two_chunks_then_a_full_disk)
     rc, out, err = run_cli(capsys, [*argv, "--output", str(path)])
     assert rc == 1 and out == ""
     assert err == f"qclone: write failure: {os.strerror(errno.ENOSPC)}: {str(path)!r}\n"
@@ -772,7 +774,7 @@ def test_file_output_takes_one_write_per_block(
     # write is followed by writes of the rest, and the file is cut at the
     # bytes os.write reported
     if block_rows is not None:
-        monkeypatch.setattr(qclone.cli, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(qclone._commands, "BLOCK_ROWS", block_rows)
     rc, want, _ = run_cli(capsys, argv)
     assert rc == 0
     want = want.encode("ascii")
@@ -803,14 +805,14 @@ def test_the_first_chunk_of_every_command_holds_a_data_row(capsys, monkeypatch, 
     # _render has no form for a table of no rows: every command's smallest
     # table puts its comment lines, its header and a data row in one chunk
     assert sorted(table[0] for table in SMALLEST_TABLES) == sorted(qclone.cli._COMMANDS)
-    render, chunks = qclone.cli._render, []
+    render, chunks = qclone._commands._render, []
 
     def spy(*args):
         for chunk in render(*args):
             chunks.append(chunk)
             yield chunk
 
-    monkeypatch.setattr(qclone.cli, "_render", spy)
+    monkeypatch.setattr(qclone._commands, "_render", spy)
     rc, out, err = run_cli(capsys, argv)
     assert (rc, err) == (0, "") and b"".join(chunks) == out.encode("ascii")
     lines = chunks[0].decode("ascii").splitlines()
@@ -1043,7 +1045,7 @@ def test_each_command_declares_the_pinned_flags(capsys, command):
         if default is REQUIRED:
             default = given[option] if isinstance(kind, tuple) else kind(given[option])
         want.append((dest(option), default))
-    want.append(("table", getattr(qclone.cli, f"_cmd_{command}")))
+    want.append(("table", getattr(qclone._commands, f"_cmd_{command}")))
     got = list(vars(qclone.cli._parse([command, *required])).items())
     assert got == want
     assert [type(value) for _, value in got] == [type(value) for _, value in want]
@@ -1097,7 +1099,7 @@ def test_each_golden_argv_parses_to_the_declared_namespace(argv):
         else:
             value = kind(given[option])
         want.append((dest(option), value))
-    want.append(("table", getattr(qclone.cli, f"_cmd_{command}")))
+    want.append(("table", getattr(qclone._commands, f"_cmd_{command}")))
     got = list(vars(qclone.cli._parse(argv)).items())
     assert got == want
     assert [type(value) for _, value in got] == [type(value) for _, value in want]
@@ -1125,7 +1127,7 @@ def outcome(capsys, argv):
     except SystemExit as exc:
         result = exc.code
     else:
-        assert args.table is getattr(qclone.cli, f"_cmd_{args.command}")
+        assert args.table is getattr(qclone._commands, f"_cmd_{args.command}")
         result = [[key, repr(value)] for key, value in vars(args).items() if key != "table"]
     captured = capsys.readouterr()
     return result, captured.out, captured.err
@@ -1360,7 +1362,38 @@ def test_closed_stdout_exits_one_with_one_line():
     assert err == "qclone: write failure: Bad file descriptor: stdout\n"
 
 
-_FAILED_SVD = "import numpy as np\nnp.linalg._umath_linalg.svd = lambda a: np.full(4, np.nan)"
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["fig1", "-h"]], ids=["commands", "flags"])
+@pytest.mark.parametrize("target", ["full_device", "closed_pipe", "closed_stdout"])
+def test_help_on_a_failing_stdout_is_a_write_failure(argv, target):
+    # the listing fails the way the CSV does: one line naming stdout, exit
+    # 1, and no traceback or "Exception ignored" from the flush at exit
+    if target == "full_device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        stdout, reason = os.open("/dev/full", os.O_WRONLY), "No space left on device"
+    elif target == "closed_pipe":
+        stdout, reason = _closed_pipe(), "Broken pipe"
+    else:
+        stdout, reason = None, "Bad file descriptor"
+    kwargs = {"stdout": stdout} if stdout is not None else {"preexec_fn": lambda: os.close(1)}
+    try:
+        proc = run_script(*argv, stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, **kwargs)
+    finally:
+        if stdout is not None:
+            os.close(stdout)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == f"qclone: write failure: {reason}: stdout\n"
+
+
+_FAILED_SVD ="import numpy as np\nnp.linalg._umath_linalg.svd = lambda a: np.full(4, np.nan)"
 
 
 @pytest.mark.parametrize(

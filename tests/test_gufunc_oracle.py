@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from qclone import cli
+from qclone import _commands, cli
 from qclone.entanglement import _FLIP_SIGNS, _check_trace, concurrence, eof_from_concurrence
 from qclone.qmath import HERMITICITY_TOL, SQRT_ZERO_FLOOR, hermitian_eigen
 from qclone.states import psi_minus_family
@@ -77,7 +77,7 @@ def golden_entangle_inputs():
     cases = json.loads(GOLDEN.read_text())["cases"]
     argvs = [key.split() for key in cases if key.startswith("entangle ")]
     assert len(argvs) == 28
-    return [cli._clone_matrix(cli._parse(argv))[1] for argv in argvs]
+    return [_commands._clone_matrix(cli._parse(argv))[1] for argv in argvs]
 
 
 STATES = seeded_states() + golden_entangle_inputs()

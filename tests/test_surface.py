@@ -10,7 +10,10 @@ parameters of the two alpha-mean functions that ``mean`` calls by name
 ``wzcm_full_output`` and ``partial_trace``, whose trace must be the wzcm
 ``clone``.  The last tests pin those, so a rename fails here instead of
 leaving a traced metric at zero.  The three result records are named
-tuples, and no qclone module imports ``dataclasses``.
+tuples, and no qclone module imports ``dataclasses``.  ``import qclone``
+loads the package alone, each submodule binds its exported names into the
+package when it is imported, and the console script's front prints help
+and usage errors without loading numpy.
 """
 
 import ast
@@ -177,19 +180,105 @@ def test_no_module_imports_dataclasses():
             assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
-def test_import_does_not_load_dataclasses():
-    # relative to numpy: a numpy that imports dataclasses itself does not fail
+def _child(code, *argv, status=0):
+    """The stdout of ``code`` run with ``argv`` in a fresh interpreter that
+    imports this checkout, which must exit with ``status``."""
     env = dict(os.environ)
     src = str(PACKAGE.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == status, proc.stderr
+    return proc.stdout
+
+
+def test_import_does_not_load_dataclasses():
+    # relative to numpy: a numpy that imports dataclasses itself does not fail.
+    # The child loads every qclone module before it looks.
     code = (
         "import sys, numpy\n"
         "before = 'dataclasses' in sys.modules\n"
-        "import qclone, qclone.cli\n"
-        "print(qclone.__file__, before, 'dataclasses' in sys.modules)"
+        "from qclone import *\n"
+        "import qclone, qclone._commands\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('qclone.'))\n"
+        "print(qclone.__file__, before, 'dataclasses' in sys.modules, *loaded)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    out = _child(code).split()
     assert pathlib.Path(out[0]).resolve() == PACKAGE / "__init__.py"
-    assert out[1:] in (["False", "False"], ["True", "True"])
+    assert out[1:3] in (["False", "False"], ["True", "True"])
+    modules = {f"qclone.{path.stem}" for path in SOURCES} - {"qclone.__init__", "qclone.__main__"}
+    assert sorted(out[3:]) == sorted(modules)
+
+
+#: what a child prints: every numpy or qclone module it holds.
+_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'qclone'))"
+
+
+def test_bare_import_loads_the_package_alone():
+    code = f"import sys, qclone\nprint(*{_LOADED})\nprint(*dir(qclone))"
+    loaded, listed = _child(code).splitlines()
+    assert loaded.split() == ["qclone"]
+    assert set(qclone.__all__) | set(SUBMODULES) <= set(listed.split())
+
+
+def test_submodules_resolve_on_first_access():
+    code = (
+        "import sys, qclone\n"
+        "print(qclone.cloners.MACHINES, qclone.analysis.QUAD_DEFAULT_TOL)\n"
+        "print('clone' in vars(qclone), 'concurrence' in vars(qclone))\n"
+        f"print(*{_LOADED})"
+    )
+    values, bound, loaded = _child(code).splitlines()
+    assert values == "('wzcm', 'scm', 'acm') 1e-07"
+    # binding cloners bound its exports; nothing imported entanglement
+    assert bound == "True False"
+    assert "qclone.entanglement" not in loaded.split()
+
+
+def test_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="^module 'qclone' has no attribute 'clones'$"):
+        qclone.clones
+
+
+def test_a_patch_of_the_home_module_before_first_access_is_seen_and_undone():
+    # the benchmark's span recorder: import the home module, rebind the
+    # function in every qclone namespace that holds it, call it through the
+    # package, then put each namespace back
+    code = (
+        "import importlib, sys, pytest, qclone\n"
+        "home = importlib.import_module('qclone.entanglement')\n"
+        "original = home.concurrence\n"
+        "def spy(rho):\n"
+        "    return 'spy'\n"
+        "patch = pytest.MonkeyPatch()\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.split('.')[0] == 'qclone' and vars(module).get('concurrence') is original:\n"
+        "        patch.setattr(module, 'concurrence', spy)\n"
+        "print(qclone.concurrence is spy, qclone.concurrence(None))\n"
+        "patch.undo()\n"
+        "print(qclone.concurrence is original, home.concurrence is original)"
+    )
+    assert _child(code).splitlines() == ["True spy", "True True"]
+
+
+COMMANDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "clone", "entangle", "mean")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], *([command, "-h"] for command in COMMANDS), ["fig1", "--bogus"], ["mean"]],
+    ids=lambda argv: " ".join(["qclone", *argv]),
+)
+def test_help_and_parse_errors_load_no_numpy(argv):
+    # the console script's front parses and prints without numpy; a parse
+    # that fails or ends in -h never imports the commands module
+    code = (
+        "import sys, qclone.cli\n"
+        "try:\n"
+        "    qclone.cli.run()\n"
+        "finally:\n"
+        f"    sys.stdout.write('\\n' + ' '.join({_LOADED}) + '\\n')"
+    )
+    out = _child(code, *argv, status=0 if "-h" in argv else 2)
+    assert out.splitlines()[-1].split() == ["qclone", "qclone._constants", "qclone.cli"]
