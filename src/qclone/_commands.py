@@ -221,8 +221,9 @@ def _cmd_fig2(args) -> tuple:
     s1, s2 = grid[:, None], grid
     eof = analysis._family_eof(args.alpha, grid)
     # pairs outside the region take index -1 and get no average
-    kept = np.flatnonzero(cloners.acm_region_value(s1, s2) <= cloners.CONSTRAINT_SLACK)
-    index = np.full(outer.size, -1)
+    kept = (cloners.acm_region_value(s1, s2) <= cloners.CONSTRAINT_SLACK).ravel().nonzero()[0]
+    index = np.empty(outer.size, dtype=int)
+    index.fill(-1)
     index[kept] = np.arange(kept.size)
     values = 0.5 * (eof[outer[kept]] + eof[inner[kept]])
     degenerate = cloners.acm_degenerate(s1, s2).ravel()

@@ -18,6 +18,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from ._constants import QUAD_DEFAULT_TOL
 from .cloners import (
@@ -144,14 +145,15 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     c0 = np.maximum(1.5 * col - 0.5, 0.0)
     g, w = _gl_rules(GL_ORDER)
     # einsum, not @, whose BLAS kernel follows the row count: a shrink's
-    # bits must not depend on its batch
-    q = np.einsum("ij,jk->ik", _wootters_eof(c0 * g), w)
+    # bits must not depend on its batch.  c_einsum is what np.einsum calls
+    # when optimize is False, without its Python dispatch
+    q = c_einsum("ij,jk->ik", _wootters_eof(c0 * g), w)
     # c0 = 0 for every s <= 1/3, so the floor on s only keeps 0/0 away
     q *= np.sqrt(c0 / np.maximum(col, 1.0 / 3.0))
     value = q[:, 1].reshape(s.shape)
     err = (np.abs(q[:, 1] - q[:, 0]) + GL_ROUNDOFF).reshape(s.shape)
     # a NaN estimate fails, as a NaN shrink fails the range check
-    if not err.max(initial=0.0) <= tol:
+    if not np.maximum.reduce(err, axis=None, initial=0.0) <= tol:
         worst = int(np.argmax(err))
         raise QuadratureConvergenceError(
             f"alpha mean at s = {float(s.flat[worst])!r}: estimate {float(err.flat[worst]):g} "
@@ -162,8 +164,9 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
 
 def _require_region(s1, s2) -> None:
     """Raise ConstraintViolatedError at the first (s1, s2) pair outside the region."""
-    excess = np.ravel(acm_region_value(s1, s2))
-    outside = np.flatnonzero(excess > CONSTRAINT_SLACK)
+    # a float pair gives a float excess, so asarray first
+    excess = np.asarray(acm_region_value(s1, s2)).ravel()
+    outside = (excess > CONSTRAINT_SLACK).nonzero()[0]
     if outside.size:
         k = outside[0]
         raise ConstraintViolatedError(
@@ -191,9 +194,10 @@ def mean_entanglement_acm(
     """Two-copy average entanglement of the asymmetric cloner, averaged over alpha."""
     _require_region(params.s1, params.s2)
     res = family_mean((params.s1, params.s2), tol)
-    value, err = res.value, res.abs_error_estimate
+    # Python floats: the same float64 sums, without numpy scalars
+    value, err = res.value.tolist(), res.abs_error_estimate.tolist()
     return QuadratureResult(
-        value=float(0.5 * (value[0] + value[1])),
-        abs_error_estimate=float(0.5 * (err[0] + err[1])),
+        value=0.5 * (value[0] + value[1]),
+        abs_error_estimate=0.5 * (err[0] + err[1]),
         evaluations=res.evaluations,
     )

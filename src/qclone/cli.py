@@ -309,7 +309,13 @@ def run() -> None:
     """The console script: exit with main's status, or with the status of
     the SystemExit that -h or a usage error raises.  After a failed write
     to stdout, its file descriptor is pointed at os.devnull, so the flush
-    at interpreter exit cannot fail on the same bytes again."""
+    at interpreter exit cannot fail on the same bytes again.
+
+    OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads, after the parse,
+    and starts a thread pool of one thread per CPU unless it is set; no
+    4x4 product gains from the pool, so an unset variable becomes 1 here.
+    A value the user sets is kept, and main leaves it alone."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         raise SystemExit(main())
     finally:

@@ -43,8 +43,11 @@ _WZCM_ISOMETRY = np.stack(
 
 def _in_unit_interval(x: np.ndarray) -> bool:
     """Whether every entry of the float array ``x`` (0-d included) lies in
-    [0, 1], by two reductions: a NaN fails, an empty array passes."""
-    return not x.size or bool(x.min() >= 0.0 and x.max() <= 1.0)
+    [0, 1], by two ufunc reductions (what x.min() and x.max() call, without
+    their Python wrappers): a NaN fails, an empty array passes."""
+    return not x.size or bool(
+        np.minimum.reduce(x, axis=None) >= 0.0 and np.maximum.reduce(x, axis=None) <= 1.0
+    )
 
 
 class ConstraintViolatedError(ValueError):
@@ -147,7 +150,8 @@ def clone(state, machine: str, clones: int | None = None, s: float | None = None
                 rho = rho + w * proj
         return rho
     s = family_shrink(machine, clones, s)
-    return s * np.outer(v, v.conj()) + ((1.0 - s) / 4.0) * _IDENTITY4
+    # the broadcast product is np.outer's, without its Python wrapper
+    return s * (v[:, None] * v.conj()) + ((1.0 - s) / 4.0) * _IDENTITY4
 
 
 def _acm_boundary_s2(s1, branch: str):

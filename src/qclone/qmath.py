@@ -82,7 +82,7 @@ def _shape4(a) -> np.ndarray:
 
 def _as_matrix4(a) -> np.ndarray:
     m = _shape4(a)
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -122,7 +122,7 @@ def hermitian_eigen(a) -> EigenResult:
     """
     m = _shape4(a)
     skew = m - m.conj().T
-    if not np.abs(skew).max() <= HERMITICITY_TOL:
+    if not np.maximum.reduce(np.abs(skew), axis=None) <= HERMITICITY_TOL:
         _as_matrix4(m)  # raises ValueError on a NaN or Inf entry
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     values, vectors = _umath_linalg.eigh_lo(m - 0.5 * skew)

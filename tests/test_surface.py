@@ -13,10 +13,13 @@ leaving a traced metric at zero.  The three result records are named
 tuples, and no qclone module imports ``dataclasses``.  ``import qclone``
 loads the package alone, each submodule binds its exported names into the
 package when it is imported, and the console script's front prints help
-and usage errors without loading numpy.
+and usage errors without loading numpy and runs BLAS on one thread.  No
+per-call path of the commands or the public functions enters numpy's
+Python-level wrappers.
 """
 
 import ast
+import importlib
 import inspect
 import os
 import pathlib
@@ -180,12 +183,18 @@ def test_no_module_imports_dataclasses():
             assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
-def _child(code, *argv, status=0):
+def _child(code, *argv, status=0, **environ):
     """The stdout of ``code`` run with ``argv`` in a fresh interpreter that
-    imports this checkout, which must exit with ``status``."""
+    imports this checkout, which must exit with ``status``; each keyword
+    sets that environment variable, or removes it where it is None."""
     env = dict(os.environ)
     src = str(PACKAGE.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    for key, value in environ.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
     )
@@ -282,3 +291,86 @@ def test_help_and_parse_errors_load_no_numpy(argv):
     )
     out = _child(code, *argv, status=0 if "-h" in argv else 2)
     assert out.splitlines()[-1].split() == ["qclone", "qclone._constants", "qclone.cli"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_console_script_runs_blas_single_threaded(preset):
+    # OpenBLAS starts its thread pool when numpy loads; the console script
+    # asks for none unless the user set the count, and then keeps it
+    code = (
+        "import os, qclone.cli\n"
+        "try:\n"
+        "    qclone.cli.run()\n"
+        "finally:\n"
+        "    print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    argv = ("fig1", "--grid-points", "3", "--output", os.devnull)
+    threads, setting = _child(code, *argv, OPENBLAS_NUM_THREADS=preset).split()
+    if preset is None:
+        assert (threads, setting) == ("1", "1")
+    else:
+        assert setting == preset
+
+
+#: numpy's Python-level wrappers around C entry points: the ndarray
+#: reduction methods, the fromnumeric and numeric functions, einsum's
+#: dispatch.  A C function's own dispatcher in _core/multiarray.py (vdot,
+#: concatenate) and the errstate decorator are not counted.
+_WRAPPER_MODULES = ("_methods", "fromnumeric", "numeric", "einsumfunc")
+
+
+def _wrapper_frames(call) -> list[str]:
+    """The numpy wrapper frames that ``call()`` enters, after one warm-up
+    call has loaded and cached what a first call does."""
+    call()
+    files = {
+        importlib.import_module(f"numpy._core.{name}").__file__: name for name in _WRAPPER_MODULES
+    }
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            seen.append(f"{files[frame.f_code.co_filename]}.{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _cli(*argv):
+    """A call of the CLI's main on ``argv`` that writes to os.devnull and must succeed."""
+    def call():
+        assert qclone.cli.main([*argv, "--output", os.devnull]) == 0
+
+    return call
+
+
+_CLONE_MACHINES = (("--machine", "wzcm"), ("--machine", "scm", "--clones", "3"),
+                   ("--machine", "acm", "--s1", "0.8"))
+PER_CALL_PATHS = {
+    **{f"mean {m}": _cli("mean", "--machine", m) for m in ("wzcm", "scm")},
+    "mean acm": _cli("mean", "--machine", "acm", "--s1", "0.12", "--s2", "0.88"),
+    **{f"fig{k}": _cli(f"fig{k}", "--grid-points", "5") for k in range(1, 6)},
+    **{
+        f"{c} {m[1]}": _cli(c, *m, "--alpha", "0.6")
+        for c in ("clone", "entangle")
+        for m in _CLONE_MACHINES
+    },
+    "concurrence": lambda: qclone.concurrence(qclone.clone(qclone.psi_minus_family(0.6), "scm")),
+    "family_mean": lambda: qclone.family_mean([0.2, 0.6, 1.0]),
+    "family_eof": lambda: qclone.family_eof([0.6, 0.8], 0.6),
+    "acm_boundary_s2": lambda: qclone.acm_boundary_s2(0.3, "lower"),
+    "partial_trace": lambda: qclone.partial_trace(
+        qclone.wzcm_full_output([0.5, 0.5j, -0.5, 0.5]), "machine"),
+}
+
+
+@pytest.mark.parametrize("name", PER_CALL_PATHS)
+def test_per_call_paths_enter_no_numpy_wrapper(name):
+    # each of these calls numpy's C entry points itself: c_einsum, the
+    # ufunc reductions and the ndarray methods that need no Python frame
+    assert _wrapper_frames(PER_CALL_PATHS[name]) == []
