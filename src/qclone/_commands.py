@@ -1,15 +1,15 @@
 """The CLI's commands: each builds its table, and _render writes its CSV.
 
-The front, :mod:`qclone.cli`, imports this module after a command line
-parses, so numpy and the library modules load only for a command that
-computes.  Each command, _cmd_NAME, takes the parsed namespace and returns
-its table, (header, columns), before a byte is written, so numeric and
-usage failures write nothing; _render then formats the rows BLOCK_ROWS at
-a time, never held as one string.  The comment and header lines go out
-with the first block.  A column may be coded as values[index], and each
-values array is formatted once per command however many columns and rows
-share it: the grid of fig2 and fig4, fig4's boundary s2, fig5's two
-constant reference means.
+The front, :mod:`qclone.cli`, imports this module once a command line
+parses and passes the command's input rules, so numpy and the library
+modules load only for a command that computes.  Each command, _cmd_NAME,
+takes the parsed namespace and returns its table, (header, columns),
+before a byte is written, so a numeric failure writes nothing; _render
+then formats the rows BLOCK_ROWS at a time, never held as one string.
+The comment and header lines go out with the first block.  A column may
+be coded as values[index], and each values array is formatted once per
+command however many columns and rows share it: the grid of fig2 and
+fig4, fig4's boundary s2, fig5's two constant reference means.
 
 Each input that several commands share is built in one place: _grid the
 grid of --grid-points, _rows the n x n row layout of fig2, fig4 and
@@ -28,8 +28,6 @@ from typing import Iterator
 import numpy as np
 
 from . import analysis, cloners, entanglement, qmath, states
-from ._constants import GRID_POINTS_MAX
-from .cli import _UsageError
 
 #: the failures a command reports as numeric, exit 1.
 NUMERIC_ERRORS = (analysis.QuadratureConvergenceError, qmath.EigenConvergenceError,
@@ -97,34 +95,13 @@ def _render(command: str, config, header: list[str], columns) -> Iterator[bytes]
         head = b""
 
 
-def _library_check(flag: str, check, *args):
-    """``check(*args)``, a ValueError it raises reported as a usage error
-    that names ``flag``."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise _UsageError(f"{flag}: {exc}") from exc
-
-
-def _check_unit(flag: str, value: float) -> None:
-    # on the figure path this is the only range check --alpha gets: the
-    # figures call analysis._family_eof, which checks nothing, and NaN
-    # fails the chained comparison
-    if not 0.0 <= value <= 1.0:
-        raise _UsageError(f"{flag} must lie in [0, 1], got {value!r}")
-
-
 def _grid(n: int) -> np.ndarray:
-    """The uniform grid of --grid-points ``n`` points, ``n`` checked first.
+    """The uniform grid of --grid-points ``n`` points.
 
     These are the operations of np.linspace(0.0, 1.0, n): i times the step
     1/(n-1), the last point set to 1.0, so the grid is linspace's bit for
     bit (tested for every accepted n).  linspace itself spends longer on
     its argument handling than on the grid at the default size."""
-    if n < 2:
-        raise _UsageError("--grid-points must be at least 2")
-    if n > GRID_POINTS_MAX:
-        raise _UsageError(f"--grid-points must be at most {GRID_POINTS_MAX}")
     grid = np.arange(n) * (1.0 / (n - 1))
     grid[-1] = 1.0
     return grid
@@ -137,13 +114,13 @@ def _rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The s1 grid of --grid-points (checked first), s2 on --branch of the
-    region boundary, clipped to [0, 1], and each pair's degenerate flag.
-    The lower branch drops below s2 = 0 for s1 > 3/4 (to -0.0667), and the
-    clip moves those points to the edge s2 = 0: 49 of the 201 default s1
-    points.  At 1 the clip only absorbs rounding.  The grid lies in [0, 1]
-    and --branch is a parsed choice, so the unchecked kernel serves, and
-    nothing after the grid check can fail."""
+    """The s1 grid of --grid-points, s2 on --branch of the region boundary,
+    clipped to [0, 1], and each pair's degenerate flag.  The lower branch
+    drops below s2 = 0 for s1 > 3/4 (to -0.0667), and the clip moves those
+    points to the edge s2 = 0: 49 of the 201 default s1 points.  At 1 the
+    clip only absorbs rounding.  The grid lies in [0, 1] and --branch is a
+    parsed choice, so the unchecked kernel serves.  No pair leaves the acm
+    region by more than a few eps at any accepted --grid-points (tested)."""
     s1 = _grid(args.grid_points)
     s2 = np.minimum(np.maximum(cloners._acm_boundary_s2(s1, args.branch), 0.0), 1.0)
     return s1, s2, cloners.acm_degenerate(s1, s2)
@@ -152,18 +129,10 @@ def _sweep(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _clone_matrix(args) -> tuple[np.ndarray, np.ndarray]:
     """The input state of clone/entangle and its clone matrix.  An unset
     scm --clones is stored as the 2 it stands for, so the config names it."""
-    if args.clones is not None and args.machine != "scm":
-        raise _UsageError("--clones only applies to --machine scm")
-    if args.s1 is not None and args.machine != "acm":
-        raise _UsageError("--s1 only applies to --machine acm")
-    if args.machine == "acm" and args.s1 is None:
-        raise _UsageError("--machine acm needs --s1")
     if args.machine == "scm" and args.clones is None:
         args.clones = 2
-    state = _library_check("--alpha", states.psi_minus_family, args.alpha)
-    # of the machines' parameters only scm's --clones and acm's --s1 can fail
-    flag = "--s1" if args.machine == "acm" else "--clones"
-    return state, _library_check(flag, cloners.clone, state, args.machine, args.clones, args.s1)
+    state = states.psi_minus_family(args.alpha)
+    return state, cloners.clone(state, args.machine, args.clones, args.s1)
 
 
 def _cmd_clone(args) -> tuple:
@@ -188,15 +157,10 @@ def _round_up(x: float) -> float:
 
 
 def _cmd_mean(args) -> tuple:
-    _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
     if args.machine == "acm":
-        if args.s1 is None or args.s2 is None:
-            raise _UsageError("--machine acm needs both --s1 and --s2")
-        params = _library_check("--s1/--s2", cloners.ShrinkParams, args.s1, args.s2)
-        result = _library_check("--s1/--s2", analysis.mean_entanglement_acm, params, args.quad_tol)
+        params = cloners.ShrinkParams(args.s1, args.s2)
+        result = analysis.mean_entanglement_acm(params, args.quad_tol)
     else:
-        if args.s1 is not None or args.s2 is not None:
-            raise _UsageError("--s1/--s2 only apply to --machine acm")
         result = analysis.mean_entanglement(args.machine, args.quad_tol)
     # |Q_2n - Q_n| is roundoff-sized here, and its digits past the second
     # follow the SIMD kernels; rounded up, the estimate stays a bound
@@ -216,7 +180,6 @@ def _cmd_fig1(args) -> tuple:
 
 def _cmd_fig2(args) -> tuple:
     grid = _grid(args.grid_points)
-    _check_unit("--alpha", args.alpha)
     outer, inner = _rows(grid.size)
     s1, s2 = grid[:, None], grid
     eof = analysis._family_eof(args.alpha, grid)
@@ -233,7 +196,6 @@ def _cmd_fig2(args) -> tuple:
 
 def _cmd_fig3(args) -> tuple:
     s1, s2, degenerate = _sweep(args)
-    _check_unit("--alpha", args.alpha)
     eof = analysis._family_eof(args.alpha, np.array((s1, s2)))
     return ["s1", "s2", "avg_eof", "degenerate"], [s1, s2, 0.5 * (eof[0] + eof[1]), degenerate]
 
@@ -249,8 +211,6 @@ def _cmd_fig4(args) -> tuple:
 
 def _cmd_fig5(args) -> tuple:
     s1, s2, degenerate = _sweep(args)
-    _library_check("--quad-tol", analysis._check_tol, args.quad_tol)
-    analysis._require_region(s1, s2)
     # one quadrature pass: both copies of every pair, then the reference shrinks
     means = analysis.family_mean(np.concatenate((s1, s2, _REFERENCE_SHRINKS)), args.quad_tol).value
     n = s1.size

@@ -20,18 +20,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-from ._constants import QUAD_DEFAULT_TOL
-from .cloners import (
-    CONSTRAINT_SLACK,
-    ConstraintViolatedError,
-    ShrinkParams,
-    _in_unit_interval,
-    acm_region_value,
-    family_shrink,
-)
+from ._constants import QUAD_DEFAULT_TOL, QUAD_MIN_TOL, check_region, check_tol
+from .cloners import ShrinkParams, _in_unit_interval, family_shrink
 
-#: tolerances tighter than this are rejected as unreachable in float64.
-QUAD_MIN_TOL = 1e-10
 #: Gauss-Legendre order n of family_mean: it pairs the n- and 2n-point
 #: rules, whose difference is the error estimate.  At n = 16 the largest
 #: estimate over 200001 evenly spaced shrinks, and 4000 more next to
@@ -58,13 +49,6 @@ class QuadratureResult(NamedTuple):
     value: float | np.ndarray
     abs_error_estimate: float | np.ndarray
     evaluations: int
-
-
-def _check_tol(tol: float) -> None:
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be a finite number, got {tol!r}")
-    if tol < QUAD_MIN_TOL:
-        raise ValueError(f"tolerance {tol!r} below the {QUAD_MIN_TOL:g} floor")
 
 
 _SMALLEST = np.finfo(np.float64).smallest_subnormal
@@ -137,7 +121,7 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     |Q_2n - Q_n| + GL_ROUNDOFF as its estimate.  Raises
     QuadratureConvergenceError if any estimate exceeds tol.
     """
-    _check_tol(tol)
+    check_tol(tol)
     s = np.asarray(s, dtype=float)
     if not _in_unit_interval(s):
         raise ValueError("shrink factors must lie in [0, 1]")
@@ -162,42 +146,20 @@ def family_mean(s, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=g.size * col.shape[0])
 
 
-def _require_region(s1, s2) -> None:
-    """Raise ConstraintViolatedError at the first (s1, s2) pair outside the region."""
-    # a float pair gives a float excess, so asarray first
-    excess = np.asarray(acm_region_value(s1, s2)).ravel()
-    outside = (excess > CONSTRAINT_SLACK).nonzero()[0]
-    if outside.size:
-        k = outside[0]
-        raise ConstraintViolatedError(
-            f"(s1, s2) = ({float(np.ravel(s1)[k])!r}, {float(np.ravel(s2)[k])!r}) "
-            f"violates the region constraint by {float(excess[k])!r}"
-        )
-
-
 def mean_entanglement(machine: str, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
     """Entanglement of formation of one wzcm or two-copy scm clone averaged
     over alpha in [0, 1]; an acm pair goes to :func:`mean_entanglement_acm`."""
     if machine == "acm":
         raise ValueError("an acm pair has two shrinks: use mean_entanglement_acm")
     res = family_mean(family_shrink(machine), tol)
-    return QuadratureResult(
-        value=float(res.value),
-        abs_error_estimate=float(res.abs_error_estimate),
-        evaluations=res.evaluations,
-    )
+    return QuadratureResult(float(res.value), float(res.abs_error_estimate), res.evaluations)
 
 
-def mean_entanglement_acm(
-    params: ShrinkParams, tol: float = QUAD_DEFAULT_TOL
-) -> QuadratureResult:
-    """Two-copy average entanglement of the asymmetric cloner, averaged over alpha."""
-    _require_region(params.s1, params.s2)
+def mean_entanglement_acm(params: ShrinkParams, tol: float = QUAD_DEFAULT_TOL) -> QuadratureResult:
+    """Two-copy average entanglement of the asymmetric cloner, averaged over
+    alpha; a pair outside the region raises ConstraintViolatedError."""
+    check_region(params.s1, params.s2)
     res = family_mean((params.s1, params.s2), tol)
     # Python floats: the same float64 sums, without numpy scalars
     value, err = res.value.tolist(), res.abs_error_estimate.tolist()
-    return QuadratureResult(
-        value=0.5 * (value[0] + value[1]),
-        abs_error_estimate=0.5 * (err[0] + err[1]),
-        evaluations=res.evaluations,
-    )
+    return QuadratureResult(0.5 * (value[0] + value[1]), 0.5 * (err[0] + err[1]), res.evaluations)

@@ -1,11 +1,11 @@
 """Command-line interface emitting deterministic CSV data series.
 
 This module is the numpy-free front: the table of commands and flags, the
-parser, -h, the output sink, the diagnostics and the exit codes.  It
-imports no library module, so -h and a command line it rejects cost the
-interpreter's start-up and no more.  The commands, with the CSV renderer,
-live in :mod:`qclone._commands`; the first parse that succeeds imports it
-and the front keeps it.
+parser, each command's input rules, -h, the output sink, the diagnostics
+and the exit codes.  It imports no library module, so -h and every usage
+error but an unopenable --output cost the interpreter's start-up and no
+more.  The commands, with the CSV renderer, live in qclone._commands,
+which the first command line that passes its rules imports.
 
 Output format, shared by every command: `# key: value` comment lines
 recording the exact configuration, one header row naming the columns,
@@ -15,12 +15,13 @@ flag name (`--grid-points` is `grid_points`), in the order the
 command declares its flags, floats by repr; an unset scm --clones is
 written as the 2 it stands for.  Fields are comma-separated, floats carry
 9 significant digits (mean's error estimate 2, rounded up), line endings
-are Unix.  Identical flags produce identical bytes.  Every command returns
-its table before a byte is written, so numeric and usage failures write
-nothing.
+are Unix.  Identical flags produce identical bytes.  A command runs only
+after its values pass its input rules, and it returns its table before a
+byte is written, so numeric and usage failures write nothing.
 
 Every command and flag is declared once, in the table _COMMANDS, and
-_parse reads every command line, and -h lists every flag, from it.
+_parse reads every command line, and -h lists every flag, from it.  The
+rules in _RULES then judge the values, each by the library's own check.
 
 sys.stdout, a text stream that callers may replace, receives the decoded
 text of each block of CSV bytes; with --output PATH the bytes go to the
@@ -38,9 +39,9 @@ Exit codes: 0 on success, 1 when a quadrature, an eigensolve or the
 concurrence SVD fails to converge (the diagnostic names it) and when
 writing the CSV or the -h listing fails (it names the output, and may
 leave part of it written), 2 on a usage error: a command line _parse
-rejects, a flag out of range, an unopenable --output path.  Each prints one
-line on stderr; with descriptor 2 closed the line is lost, and the exit
-code stays the same.
+rejects, a value a rule rejects, an unopenable --output path.  Each prints
+one line on stderr; with descriptor 2 closed the line is lost, and the
+exit code stays the same.
 """
 
 from __future__ import annotations
@@ -55,35 +56,23 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from ._constants import BRANCHES, GRID_POINTS_DEFAULT, MACHINES, QUAD_DEFAULT_TOL
+from ._constants import check_clones, check_grid_points, check_machine_args, check_mean_args
+from ._constants import check_region, check_tol, check_unit
 
 PROG = "qclone"
 
 _SINGLET_ALPHA = 1.0 / math.sqrt(2.0)
 
 
-class _UsageError(Exception):
-    pass
+class _FileSink:
+    """The --output file, rewritten in place as the module says: one
+    os.write per block, more only after a short write; ``end`` counts the
+    bytes written."""
 
-
-def _open_output(path: str):
-    """A _FileSink of the file at ``path``, opened for writing without
-    O_TRUNC; an unopenable path is a usage error."""
-    try:
+    def __init__(self, path: str) -> None:
         # no O_TRUNC: truncating a file that holds data to length 0 makes
         # ext4 start writeback at close; the stale tail is cut on close
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    except OSError as exc:
-        raise _UsageError(f"--output: {exc.strerror}: {path!r}") from exc
-    return _FileSink(fd)
-
-
-class _FileSink:
-    """Bytes written over the descriptor ``fd`` from its start, each block
-    as it comes: one os.write per write, then more only for what a short
-    write left.  ``end`` counts the bytes os.write reports written."""
-
-    def __init__(self, fd: int) -> None:
-        self.fd = fd
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         self.end = 0
 
     def write(self, data: bytes) -> None:
@@ -93,9 +82,8 @@ class _FileSink:
             data = data[n:]
 
     def close(self) -> None:
-        """Cut a regular file at ``end``, written or not, so it never holds
-        new bytes followed by old ones; other files (devices, FIFOs) cannot
-        be truncated and are left as they are.  Then close ``fd``."""
+        """Cut a regular file at ``end``, written or not (devices and FIFOs
+        cannot be cut), then close ``fd``."""
         try:
             info = os.fstat(self.fd)
             if stat.S_ISREG(info.st_mode) and info.st_size > self.end:
@@ -143,10 +131,34 @@ _COMMANDS = {
     "mean": ("clone entanglement averaged over the input family",
              "_cmd_mean", (_MACHINE, _QUAD_TOL, _S1, ("--s2", float, None))),
 }
+# a rule is (the text in front of its message, its check of the namespace).
+# Once the machine/flag combination holds, clone's --clones is scm's and
+# --s1 acm's, and mean's --s1 and --s2 are both set, for acm only
+_CLONE_WORDS = ("--machine", "--clones", "--s1")
+_GRID_RULE = ("", lambda a: check_grid_points(a.grid_points))
+_TOL_RULE = ("--quad-tol: ", lambda a: check_tol(a.quad_tol))
+_FIGURE_RULES = (_GRID_RULE, ("", lambda a: check_unit("--alpha", a.alpha)))
+_CLONE_RULES = (
+    ("", lambda a: check_machine_args(a.machine, a.clones, a.s1, _CLONE_WORDS)),
+    ("--alpha: ", lambda a: check_unit("alpha", a.alpha)),
+    ("--clones: ", lambda a: a.clones is None or check_clones(a.clones)),
+    ("--s1: ", lambda a: a.s1 is None or check_unit("s", a.s1)),
+)
+_MEAN_RULES = (
+    _TOL_RULE,
+    ("", lambda a: check_mean_args(a.machine, a.s1, a.s2)),
+    ("--s1/--s2: ", lambda a: a.s1 is None or check_unit("s1", a.s1)),
+    ("--s1/--s2: ", lambda a: a.s1 is None or check_unit("s2", a.s2)),
+    ("--s1/--s2: ", lambda a: a.s1 is None or check_region(a.s1, a.s2)),
+)
+#: each command's rules in the order it reads its inputs; the first ValueError is the usage error.
+_RULES = {"fig1": (_GRID_RULE,), "fig2": _FIGURE_RULES, "fig3": _FIGURE_RULES,
+          "fig4": (_GRID_RULE,), "fig5": (_GRID_RULE, _TOL_RULE),
+          "clone": _CLONE_RULES, "entangle": _CLONE_RULES, "mean": _MEAN_RULES}
 #: a token starting with '-' is a flag's value only as '-' or a negative
 #: number, which is a match of Python 3.13 argparse's pattern.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
-#: qclone._commands, once a parse has succeeded.
+#: qclone._commands, once a command line has passed its rules.
 _commands = None
 
 
@@ -213,20 +225,13 @@ def _help(command: str | None, text: str | None) -> NoReturn:
     raise SystemExit(0)
 
 
-def _config(args: SimpleNamespace) -> list[tuple[str, object]]:
-    """The ``# key: value`` pairs: each flag but --output not None, in the declared order."""
-    items = vars(args).items()
-    return [(k, v) for k, v in items if v is not None and k not in ("command", "output", "table")]
-
-
 def _parse(argv: list[str]) -> SimpleNamespace:
     """The namespace of a command and its flags, each ``--flag VALUE``,
     ``--flag=VALUE`` or a unique prefix of --flag, read from the left: a
     repeated flag keeps its last value, and -h or a bad value ends the parse.
     After the last flag, a missing required one, then a token no flag takes,
-    is a usage error; each prints one line and exits 2.  A parse that
-    succeeds imports qclone._commands, once, and its ``table`` is the
-    command's function there."""
+    is a usage error; each prints one line and exits 2.  The values are
+    not judged here: main applies the command's rules to them."""
     if not argv:
         _usage("the following arguments are required: command")
     if argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0]):
@@ -269,27 +274,35 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         _usage(f"the following arguments are required: {', '.join(missing)}")
     if unknown:
         _usage(f"unrecognized arguments: {' '.join(unknown)}")
-    global _commands
-    if _commands is None:
-        from . import _commands as commands
-
-        _commands = commands
-    values["table"] = getattr(_commands, _COMMANDS[argv[0]][1])
     return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
+    for prefix, rule in _RULES[args.command]:
+        try:
+            rule(args)
+        except ValueError as exc:
+            _diagnose(f"{PROG}: error: {prefix}{exc}")
+            return 2
+    global _commands
+    if _commands is None:
+        from . import _commands as commands
+
+        _commands = commands
     try:
-        table = args.table(args)
-        output = None if args.output is None else _open_output(args.output)
-    except _UsageError as exc:
-        _diagnose(f"{PROG}: error: {exc}")
-        return 2
+        table = getattr(_commands, _COMMANDS[args.command][1])(args)
     except _commands.NUMERIC_ERRORS as exc:
         _diagnose(f"{PROG}: numeric failure: {exc}")
         return 1
-    chunks = _commands._render(args.command, _config(args), *table)
+    try:
+        output = None if args.output is None else _FileSink(args.output)
+    except OSError as exc:  # an unopenable --output is a usage error
+        _diagnose(f"{PROG}: error: --output: {exc.strerror}: {args.output!r}")
+        return 2
+    items = vars(args).items()
+    config = [(k, v) for k, v in items if v is not None and k not in ("command", "output")]
+    chunks = _commands._render(args.command, config, *table)
     try:
         if output is None:
             _to_stdout(chunk.decode("ascii") for chunk in chunks)

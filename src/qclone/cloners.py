@@ -20,12 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._constants import BRANCHES, MACHINES
+# the slack, the machines, the error and the region value are exported here too
+from ._constants import BRANCHES, CONSTRAINT_SLACK, MACHINES, ConstraintViolatedError
+from ._constants import acm_region_value, check_clones, check_machine_args, check_unit
 from .qmath import as_state_vector
 from .states import BELL_MATRIX
 
-#: slack accepted when testing the asymmetric-cloner constraint.
-CONSTRAINT_SLACK = 1e-12
 #: |s - endpoint| below which a shrink pair counts as a degenerate endpoint.
 DEGENERACY_TOL = 1e-12
 
@@ -50,10 +50,6 @@ def _in_unit_interval(x: np.ndarray) -> bool:
     )
 
 
-class ConstraintViolatedError(ValueError):
-    """Raised when a shrink-factor pair falls outside the allowed region."""
-
-
 # a typing.NamedTuple body may not define __new__, so ShrinkParams checks
 # its bounds in a subclass of this one
 class _ShrinkPair(NamedTuple):
@@ -75,21 +71,14 @@ class ShrinkParams(_ShrinkPair):
     __slots__ = ()
 
     def __new__(cls, s1: float, s2: float):
-        for name, s in (("s1", s1), ("s2", s2)):
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {s!r}")
+        check_unit("s1", s1)
+        check_unit("s2", s2)
         return super().__new__(cls, s1, s2)
 
     @classmethod
     def _make(cls, iterable):
         # the inherited _make builds the tuple without calling __new__
         return cls(*iterable)
-
-
-def acm_region_value(s1, s2):
-    """4(1-s1-s2)^2 - (1-s1)(1-s2) elementwise; non-positive inside the region."""
-    u = 1.0 - s1 - s2
-    return 4.0 * u * u - (1.0 - s1) * (1.0 - s2)
 
 
 def acm_degenerate(s1, s2):
@@ -114,24 +103,19 @@ def family_shrink(machine: str, clones: int | None = None, s: float | None = Non
 
     scm shrinks each of its M = ``clones`` copies (2 when None) by
     (M+4)/(5M), and an acm copy by its own ``s``, which must be given and
-    lie in [0, 1].  The wzcm copy is no shrink of the input but a mixture
-    of its two Bell components with the concurrence 2 alpha beta of the
-    input, which is the concurrence at s = 1.
+    lie in [0, 1]; no machine takes another's parameter.  The wzcm copy is
+    no shrink of the input but a mixture of its two Bell components with
+    the concurrence 2 alpha beta of the input, the concurrence at s = 1.
     """
+    check_machine_args(machine, clones, s)
     if machine == "wzcm":
         return 1.0
     if machine == "scm":
         count = 2 if clones is None else clones
-        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-            raise ValueError(f"clone count must be an integer, got {count!r}")
-        if count < 2:
-            raise ValueError(f"clone count must be at least 2, got {count}")
+        check_clones(count)
         return (count + 4) / (5 * count)
-    if machine == "acm":
-        if s is None or not 0.0 <= s <= 1.0:
-            raise ValueError(f"s must lie in [0, 1], got {s!r}")
-        return s
-    raise ValueError(f"machine must be one of {MACHINES}, got {machine!r}")
+    check_unit("s", s)
+    return s
 
 
 def clone(state, machine: str, clones: int | None = None, s: float | None = None) -> np.ndarray:
@@ -139,9 +123,11 @@ def clone(state, machine: str, clones: int | None = None, s: float | None = None
 
     wzcm copies the state's Bell components c_i as the mixture
     sum_i |c_i|^2 |bell_i><bell_i|; scm and acm give the isotropic shrink
-    s |state><state| + (1-s)/4 I with s = ``family_shrink(machine, clones, s)``.
+    s |state><state| + (1-s)/4 I with s = ``family_shrink(machine, clones, s)``,
+    which judges the parameters of every machine.
     """
     v = as_state_vector(state, 4)
+    s = family_shrink(machine, clones, s)
     if machine == "wzcm":
         c = BELL_MATRIX.conj() @ v
         rho = np.zeros((4, 4), dtype=np.complex128)
@@ -149,7 +135,6 @@ def clone(state, machine: str, clones: int | None = None, s: float | None = None
             if w != 0.0:
                 rho = rho + w * proj
         return rho
-    s = family_shrink(machine, clones, s)
     # the broadcast product is np.outer's, without its Python wrapper
     return s * (v[:, None] * v.conj()) + ((1.0 - s) / 4.0) * _IDENTITY4
 

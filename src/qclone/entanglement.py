@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from ._constants import check_unit
 from .qmath import (
     EIG_ROUNDOFF_NEG,
     SQRT_ZERO_FLOOR,
@@ -79,8 +80,7 @@ def eof_from_concurrence(c: float) -> float:
     y = 1 - x = C^2 / (2 (1 + sqrt(1 - C^2))) and log1p(-y): forming 1 - x
     by subtraction would lose the relative precision of E at small C.
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c!r}")
+    check_unit("concurrence", c)
     c2 = c * c
     y = c2 / (2.0 + 2.0 * math.sqrt(1.0 - c2))
     if y == 0.0:

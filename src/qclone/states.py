@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from ._constants import check_unit
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 #: rows are the four Bell vectors, in the order phi_plus, phi_minus,
@@ -29,7 +31,6 @@ def psi_minus_family(alpha: float) -> np.ndarray:
 
     alpha must lie in [0, 1]; alpha = 1/sqrt(2) gives the psi_minus Bell state.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_unit("alpha", alpha)
     beta = math.sqrt(1.0 - alpha * alpha)
     return np.array([0.0, alpha, -beta, 0.0], dtype=np.complex128)

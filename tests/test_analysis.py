@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qclone._constants
 import qclone.analysis
 from qclone.analysis import (
     QUAD_DEFAULT_TOL,
@@ -98,7 +99,7 @@ def test_entanglement_curve_validation():
 def acm_average(alpha, params):
     """Two-copy average EoF of the asymmetric cloner at one alpha, for a
     shrink pair inside the region."""
-    qclone.analysis._require_region(params.s1, params.s2)
+    qclone._constants.check_region(params.s1, params.s2)
     return float(0.5 * (family_eof(alpha, params.s1) + family_eof(alpha, params.s2)))
 
 
@@ -589,17 +590,3 @@ def test_fig5_means_equal_one_family_mean_call_per_shrink(branch, points):
     assert acm.tolist() == [0.5 * (single(a) + single(b)) for a, b in zip(s1s, s2s)]
     assert wz.tolist() == [single(family_shrink("wzcm"))] * points
     assert sc.tolist() == [single(family_shrink("scm"))] * points
-
-
-def test_mean_sweep_checks_the_region_over_the_whole_grid(monkeypatch):
-    # boundary s2 always lies in the region; a broken boundary must not
-    # slip through the array pass.  The figures call the unchecked kernel,
-    # so the broken one is built from the kernel it replaces
-    kernel = qclone.cloners._acm_boundary_s2
-
-    def broken(s1, branch):
-        return np.where((s1 > 0.85) & (s1 < 0.95), 0.9, kernel(s1, branch))
-
-    monkeypatch.setattr(qclone.cloners, "_acm_boundary_s2", broken)
-    with pytest.raises(ConstraintViolatedError, match=r"\(s1, s2\) = \(0\.9\d*, 0\.9\)"):
-        main(["fig5", "--grid-points", "11"])

@@ -18,6 +18,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -616,7 +617,7 @@ def test_fig2_broadcast_flags_match_the_gathered_sweep(n):
     # the (n, n) broadcast of (s1, s2), raveled, against the n^2-long
     # gathered copies in the repeat and tile order, bit for bit
     args = qclone.cli._parse(["fig2", "--alpha", "0.8", "--grid-points", str(n)])
-    _, columns = args.table(args)
+    _, columns = qclone._commands._cmd_fig2(args)
     grid = np.linspace(0.0, 1.0, n)
     outer, inner = np.divmod(np.arange(n * n), n)
     s1, s2 = grid[outer], grid[inner]
@@ -838,6 +839,20 @@ def test_grid_validation(capsys):
     assert rc == 0 and len(parse_csv(out)[2]) == GRID_POINTS_MAX
 
 
+#: every usage error a command line that parses can meet, each input rule
+#: broken alone on each command that applies it and pairs of broken rules
+#: that fix the order: its argv, exit code and stderr line, recorded while
+#: the commands still checked their own inputs.
+USAGE_ERRORS = json.loads(pathlib.Path(__file__).with_name("usage_errors.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, status, line", USAGE_ERRORS["cases"], ids=[" ".join(c[0]) for c in USAGE_ERRORS["cases"]]
+)
+def test_usage_error_gives_the_recorded_line(capsys, argv, status, line):
+    assert run_cli(capsys, argv) == (status, "", line)
+
+
 @pytest.mark.parametrize("command", ["fig2", "fig3"])
 def test_grid_points_is_checked_before_alpha(capsys, command):
     rc, out, err = run_cli(capsys, [command, "--grid-points", "1", "--alpha", "2"])
@@ -1039,13 +1054,15 @@ def test_each_command_declares_the_pinned_flags(capsys, command):
     required = FLAG_SAMPLES[command][1]
     given = dict(zip(required[::2], required[1::2]))
     assert sorted(given) == sorted(o for o, _, d in DECLARED[command] if d is REQUIRED)
-    # the namespace _parse builds: names, order, defaults, types, table
+    # the namespace _parse builds: names, order, defaults, types; main runs
+    # the command's function in qclone._commands
+    assert qclone.cli._COMMANDS[command][1] == f"_cmd_{command}"
+    assert callable(getattr(qclone._commands, f"_cmd_{command}"))
     want = [("command", command), ("output", None)]
     for option, kind, default in DECLARED[command]:
         if default is REQUIRED:
             default = given[option] if isinstance(kind, tuple) else kind(given[option])
         want.append((dest(option), default))
-    want.append(("table", getattr(qclone._commands, f"_cmd_{command}")))
     got = list(vars(qclone.cli._parse([command, *required])).items())
     assert got == want
     assert [type(value) for _, value in got] == [type(value) for _, value in want]
@@ -1099,7 +1116,6 @@ def test_each_golden_argv_parses_to_the_declared_namespace(argv):
         else:
             value = kind(given[option])
         want.append((dest(option), value))
-    want.append(("table", getattr(qclone._commands, f"_cmd_{command}")))
     got = list(vars(qclone.cli._parse(argv)).items())
     assert got == want
     assert [type(value) for _, value in got] == [type(value) for _, value in want]
@@ -1120,15 +1136,14 @@ DECLARED_CHANGES = {
 
 
 def outcome(capsys, argv):
-    """What _parse gives: its namespace items, values by repr and without
-    table, or its exit code; then stdout and stderr."""
+    """What _parse gives: its namespace items, values by repr, or its exit
+    code; then stdout and stderr."""
     try:
         args = qclone.cli._parse(list(argv))
     except SystemExit as exc:
         result = exc.code
     else:
-        assert args.table is getattr(qclone._commands, f"_cmd_{args.command}")
-        result = [[key, repr(value)] for key, value in vars(args).items() if key != "table"]
+        result = [[key, repr(value)] for key, value in vars(args).items()]
     captured = capsys.readouterr()
     return result, captured.out, captured.err
 
@@ -1196,7 +1211,7 @@ def test_a_parse_ends_in_an_exit_or_a_namespace_that_reads_back(capsys, argv):
     # a value that would read as a flag after a space goes after '='
     line = [args.command]
     for key, value in vars(args).items():
-        if key not in ("command", "table") and value is not None:
+        if key != "command" and value is not None:
             flag, text = "--" + key.replace("_", "-"), value if isinstance(value, str) else repr(value)
             flaglike = text.startswith("-") and text != "-" and not re.match(r"-\.?\d", text)
             line += [f"{flag}={text}"] if flaglike else [flag, text]
@@ -1453,6 +1468,17 @@ def test_figure_columns_are_the_kernel_and_sweep_bits(branch):
     assert np.array_equal(alpha, outer) and np.array_equal(s1, inner)
     assert np.array_equal(s2, boundary)
     assert np.array_equal(value, 0.5 * (family_eof(outer, inner) + family_eof(outer, boundary)))
+
+
+def test_every_accepted_sweep_stays_in_the_region():
+    # fig3, fig4 and fig5 check no pair of their sweep: over every accepted
+    # --grid-points on both branches the largest region value is a few eps
+    worst = -math.inf
+    for branch in ("upper", "lower"):
+        for n in range(2, GRID_POINTS_MAX + 1):
+            s1, s2, _ = qclone._commands._sweep(SimpleNamespace(grid_points=n, branch=branch))
+            worst = max(worst, float(acm_region_value(s1, s2).max()))
+    assert worst <= 1e-15 < CONSTRAINT_SLACK
 
 
 @pytest.mark.parametrize("n", [2, 3, 11, 41])

@@ -132,7 +132,13 @@ def test_family_shrink_table():
         ("scm", {"clones": 1}, "at least 2"),
         ("scm", {"clones": 2.0}, "must be an integer"),
         ("scm", {"clones": True}, "must be an integer"),
-        ("acm", {}, "got None"),
+        ("acm", {}, "^machine acm needs s$"),
+        # a parameter the machine does not take is an error, not ignored
+        ("wzcm", {"clones": 3}, "^clones only applies to machine scm$"),
+        ("wzcm", {"clones": 7}, "^clones only applies to machine scm$"),
+        ("wzcm", {"s": 0.5}, "^s only applies to machine acm$"),
+        ("scm", {"clones": 3, "s": 0.1}, "^s only applies to machine acm$"),
+        ("acm", {"clones": 3, "s": 0.5}, "^clones only applies to machine scm$"),
         ("acm", {"s": 1.1}, "must lie in"),
         ("acm", {"s": math.nan}, "must lie in"),
         ("lcm", {}, "machine must be one of"),

@@ -21,6 +21,7 @@ Python-level wrappers.
 import ast
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -209,7 +210,7 @@ def test_import_does_not_load_dataclasses():
         "import sys, numpy\n"
         "before = 'dataclasses' in sys.modules\n"
         "from qclone import *\n"
-        "import qclone, qclone._commands\n"
+        "import qclone, qclone._commands, qclone.cli\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('qclone.'))\n"
         "print(qclone.__file__, before, 'dataclasses' in sys.modules, *loaded)"
     )
@@ -291,6 +292,29 @@ def test_help_and_parse_errors_load_no_numpy(argv):
     )
     out = _child(code, *argv, status=0 if "-h" in argv else 2)
     assert out.splitlines()[-1].split() == ["qclone", "qclone._constants", "qclone.cli"]
+
+
+#: each usage error of a command line that parses, with its exit code and line.
+USAGE_ERRORS = json.loads(pathlib.Path(__file__).with_name("usage_errors.json").read_text())
+
+
+def test_every_recorded_usage_error_loads_no_numpy():
+    # the front judges the parsed values by the command's rules before it
+    # imports the commands module; one child runs every case through main
+    # and reports its status, its line and what is loaded after it
+    code = (
+        "import contextlib, io, json, sys, qclone.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        status = qclone.cli.main(argv)\n"
+        f"    print(json.dumps([status, err.getvalue(), {_LOADED}]))"
+    )
+    cases = USAGE_ERRORS["cases"]
+    out = _child(code, json.dumps([argv for argv, _, _ in cases])).splitlines()
+    assert len(out) == len(cases)
+    front = ["qclone", "qclone._constants", "qclone.cli"]
+    for (argv, status, line), got in zip(cases, out):
+        assert json.loads(got) == [status, line, front], argv
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
